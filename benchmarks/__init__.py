@@ -1,1 +1,1 @@
-"""Benchmark harness: one bench_*.py per table/figure of the paper (see DESIGN.md)."""
+"""Benchmark harness: one bench_*.py per table/figure of the paper."""

@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the reproduction's own design choices.
 
 Not a paper artefact: these quantify how the reproduction's own knobs
 (histogram resolution, minimum partition size, split-selection criterion)

@@ -1,13 +1,13 @@
-"""Service layer — cold vs. warm vs. batched throughput, and sweep reuse.
+"""Service layer — cold vs. warm, batch parity, and sweep reuse.
 
 Measures what the :mod:`repro.service` subsystem buys on the scalability
 workload (E11's synthetic populations):
 
 * **cold vs. warm** — an identical quantify request repeated against a warm
   cache must be served at least 10x faster than the cold computation;
-* **batch = serial** — a 16-request mixed batch through the
-  :class:`~repro.service.BatchExecutor` must produce byte-identical results
-  to serial execution on a fresh service, in the same order;
+* **batch = serial** — a 16-request mixed batch through
+  ``FairnessService.execute_many`` must produce byte-identical results to
+  per-request ``execute`` on a fresh service, in the same order;
 * **sweep reuse** — a protocol-v2 ``SweepRequest`` over N weight vectors on
   a 10k-row population must share one materialized scoring pass per vector
   via the score-store pool (``store_stats`` records the reuse) while staying
@@ -26,7 +26,6 @@ from benchmarks.results import REPO_ROOT, write_results
 from repro.scoring.linear import LinearScoringFunction
 from repro.service import (
     AuditRequest,
-    BatchExecutor,
     CompareRequest,
     FairnessService,
     QuantifyRequest,
@@ -124,7 +123,7 @@ def mixed_batch() -> List[ServiceRequest]:
             min_partition_size=5,
         )
     )
-    # Duplicates: the executor must deduplicate these in flight.
+    # Duplicates: execute_many computes each distinct key once.
     requests.append(
         QuantifyRequest(dataset="synthetic-1000", function="balanced", min_partition_size=5)
     )
@@ -186,12 +185,13 @@ def test_cold_vs_warm_cache(benchmark):
 
 
 def test_batched_matches_serial(benchmark):
-    """A 16-request mixed batch is byte-identical to serial execution."""
-    serial_results = BatchExecutor(build_service()).run_serial(mixed_batch())
+    """A 16-request mixed batch is byte-identical to per-request execution."""
+    service = build_service()
+    serial_results = [service.execute(request) for request in mixed_batch()]
 
     def batched_run():
         # A fresh service per round so the batch always starts cold.
-        return BatchExecutor(build_service(), max_workers=8).run(mixed_batch())
+        return build_service().execute_many(mixed_batch())
 
     batched_results = benchmark.pedantic(batched_run, rounds=1, iterations=1)
 
@@ -202,38 +202,6 @@ def test_batched_matches_serial(benchmark):
     print()
     print(f"16-request mixed batch: byte-identical to serial ({len(serial_bytes)} results)")
     _write_results({"batch_matches_serial": {"requests": len(serial_bytes), "identical": True}})
-
-
-def test_batched_throughput_vs_serial(benchmark):
-    """Report the wall-clock effect of the thread pool on one cold batch."""
-    started = time.perf_counter()
-    BatchExecutor(build_service()).run_serial(mixed_batch())
-    serial_elapsed = time.perf_counter() - started
-
-    def batched_run():
-        return BatchExecutor(build_service(), max_workers=8).run(mixed_batch())
-
-    benchmark.pedantic(batched_run, rounds=1, iterations=1)
-    started = time.perf_counter()
-    batched_run()
-    batched_elapsed = time.perf_counter() - started
-
-    print()
-    print(
-        f"serial: {serial_elapsed * 1000:.1f}ms  batched(x8): {batched_elapsed * 1000:.1f}ms  "
-        f"speedup: {serial_elapsed / max(batched_elapsed, 1e-9):.2f}x"
-    )
-    _write_results(
-        {
-            "batch_throughput": {
-                "serial_ms": round(serial_elapsed * 1000, 1),
-                "batched_ms": round(batched_elapsed * 1000, 1),
-                "speedup": round(serial_elapsed / max(batched_elapsed, 1e-9), 2),
-            }
-        }
-    )
-    # The batch must never be pathologically slower than serial execution.
-    assert batched_elapsed < serial_elapsed * 2.0
 
 
 SWEEP_WEIGHTS = [

@@ -1,13 +1,13 @@
 """Shared fixtures and helpers for the benchmark harness.
 
-Every ``bench_*.py`` file regenerates one table or figure of the paper (see
-DESIGN.md section 2) and times the computation with pytest-benchmark.  Each
-benchmark prints the regenerated table so that running
+Every ``bench_*.py`` file regenerates one table or figure of the paper (the
+E1–E12 experiment index of :mod:`repro.experiments.suite`) and times the
+computation with pytest-benchmark.  Each benchmark prints the regenerated
+table so that running
 
     pytest benchmarks/ --benchmark-only -s
 
-produces both the timing report and the experiment outputs recorded in
-EXPERIMENTS.md.
+produces both the timing report and the experiment outputs.
 """
 
 from __future__ import annotations

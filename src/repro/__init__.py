@@ -18,8 +18,8 @@ re-exported here covers the most common entry points:
 * catalog: :class:`~repro.catalog.Catalog` — the single resource registry
   engine, service, roles and CLI all resolve through
 * service: :class:`~repro.service.FairnessService`,
-  :class:`~repro.service.FairnessClient`, :class:`~repro.service.BatchExecutor`,
-  the protocol-v2 request types (:class:`~repro.service.QuantifyRequest`,
+  :class:`~repro.service.FairnessClient` (``FairnessService.execute_many``
+  runs batches), the protocol-v2 request types (:class:`~repro.service.QuantifyRequest`,
   :class:`~repro.service.AuditRequest`, :class:`~repro.service.CompareRequest`,
   :class:`~repro.service.BreakdownRequest`, :class:`~repro.service.SweepRequest`,
   :class:`~repro.service.EndUserRequest`, :class:`~repro.service.JobOwnerRequest`)
@@ -53,7 +53,6 @@ from repro.scoring import LinearScoringFunction, RankDerivedScorer, ScoringFunct
 from repro.service import (
     PROTOCOL_VERSION,
     AuditRequest,
-    BatchExecutor,
     BreakdownRequest,
     CacheStats,
     CompareRequest,
@@ -109,7 +108,6 @@ __all__ = [
     "FairnessClient",
     "FairnessHTTPServer",
     "HTTPFairnessClient",
-    "BatchExecutor",
     "LRUCache",
     "CacheStats",
     "PROTOCOL_VERSION",

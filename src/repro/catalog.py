@@ -27,8 +27,8 @@ plain dict:
   :mod:`repro.snapshot`), so ``fairank serve --catalog snapshot.json`` can
   boot a full deployment.
 
-The catalog is thread-safe: the service's batch executor registers and
-resolves from worker threads.
+The catalog is thread-safe: the HTTP server registers and resolves from
+handler threads.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ Six subcommands cover the common entry points without writing any Python:
 * ``fairank experiments`` — regenerate one or all of the E1–E12 experiment
   tables recorded in EXPERIMENTS.md;
 * ``fairank serve-batch`` — execute a JSON file of protocol-v1 or -v2
-  service requests (all request kinds) through the parallel batch executor
-  and report per-request latency, errors, and cache statistics;
+  service requests (all request kinds) through ``execute_many`` (serial,
+  each distinct request computed once) and report per-request latency,
+  errors, and cache statistics;
 * ``fairank catalog`` — list the resources (name, kind, fingerprint prefix,
   rows/arity) of the registry ``serve-batch`` requests resolve against,
   optionally check which resources a batch file references, and optionally
@@ -42,6 +43,7 @@ from repro.marketplace.crawler import MarketplaceCrawler, available_platforms
 from repro.roles.auditor import Auditor
 from repro.scoring.linear import LinearScoringFunction
 from repro.scoring.rank import RankDerivedScorer
+from repro.service.jobs import REQUEST_KINDS
 from repro.session.render import render_tree
 
 __all__ = ["main", "build_parser"]
@@ -114,17 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
     # -- serve-batch -------------------------------------------------------------
     serve_parser = subparsers.add_parser(
         "serve-batch",
-        help="execute a JSON file of service requests through the batch executor",
+        help="execute a JSON file of service requests (serially, with dedup)",
     )
     serve_parser.add_argument(
         "requests",
         help="JSON file: a list of request objects, or {'requests': [...]} "
-             "(each object needs a 'kind': quantify, audit, compare, breakdown, "
-             "sweep, end_user or job_owner; protocol v1 files still execute)")
-    serve_parser.add_argument("--workers", type=int, default=None,
-                              help="thread-pool width (default: auto)")
-    serve_parser.add_argument("--serial", action="store_true",
-                              help="execute one request at a time instead of in parallel")
+             f"(each object needs a 'kind': one of {', '.join(REQUEST_KINDS)}; "
+             "protocol v1 files still execute)")
     serve_parser.add_argument("--repeat", type=int, default=1,
                               help="run the batch N times (later runs exercise the warm cache)")
     _add_registry_arguments(serve_parser)
@@ -193,9 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of worker processes; >1 boots a fingerprint-routing "
              "shard router over N snapshot-booted workers (default: 1, "
              "single-process serving)")
-    http_parser.add_argument("--batch-workers", type=int, default=None,
-                             help="per-worker thread-pool width of /v2/batch "
-                                  "(default: auto)")
     http_parser.add_argument("--verbose", action="store_true",
                              help="emit a structured JSON log event per request "
                                   "to stderr")
@@ -376,19 +371,14 @@ def _load_requests_file(path: str):
 
 
 def _cmd_serve_batch(args: argparse.Namespace) -> int:
-    from repro.service import BatchExecutor
-
     requests = _load_requests_file(args.requests)
     if args.repeat < 1:
         raise FaiRankError(f"--repeat must be >= 1, got {args.repeat}")
-    if args.workers is not None and args.workers < 1:
-        raise FaiRankError(f"--workers must be >= 1, got {args.workers}")
 
     service = _serve_batch_service(args)
-    executor = BatchExecutor(service, max_workers=args.workers)
     errors = 0
     for round_number in range(1, args.repeat + 1):
-        results = executor.run_serial(requests) if args.serial else executor.run(requests)
+        results = service.execute_many(requests)
         if args.repeat > 1:
             print(f"-- round {round_number} --")
         print(f"{'#':>3}  {'kind':<9} {'key':<12} {'served':<6} {'latency':>10}")
@@ -405,8 +395,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
             if result.error is not None:
                 errors += 1
                 print(f"  ! #{index} [{result.error['code']}] {result.error['message']}")
-    mode = "serial" if args.serial else f"parallel x{executor.max_workers}"
-    print(f"executed {len(requests)} request(s) per round, {args.repeat} round(s), {mode}")
+    print(f"executed {len(requests)} request(s) per round, {args.repeat} round(s), serial")
     if errors:
         print(f"errors: {errors} request(s) returned an error envelope")
     print(f"cache: {service.cache_stats.describe()}")
@@ -438,15 +427,16 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     if args.requests:
         requests = _load_requests_file(args.requests)
         print(f"\nbatch file {args.requests}: {len(requests)} request(s)")
+        from repro.catalog import ResourceKind
+        from repro.shard.routing import request_references
+
         unresolved = 0
         for index, request in enumerate(requests, start=1):
-            # Name-level resolution only: computing full request keys would
-            # fingerprint datasets and, for rank-only requests, run the
-            # scoring/ranking itself — far too heavy for a listing command.
-            for kind, reference in _request_references(request):
+            # The router's extractor: the resolution check and fingerprint
+            # routing agree on which fields name catalogue resources.
+            for kind, reference in request_references(request.to_json()):
                 try:
-                    {"dataset": service.dataset, "function": service.function,
-                     "marketplace": service.marketplace}[kind](reference)
+                    service.catalog.get(ResourceKind(kind), reference)
                 except FaiRankError as error:
                     unresolved += 1
                     print(f"  ! #{index} ({request.kind}) does not resolve: {error}")
@@ -540,7 +530,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service,
         host=args.host,
         port=args.port,
-        max_workers=args.batch_workers,
         verbose=args.verbose,
         slow_ms=args.slow_ms,
     )
@@ -595,8 +584,6 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
 
         # Per-worker flags ride along on every worker's command line.
         worker_arguments: list = []
-        if args.batch_workers is not None:
-            worker_arguments += ["--batch-workers", str(args.batch_workers)]
         if args.verbose:
             worker_arguments += ["--verbose"]
         if args.slow_ms is not None:
@@ -631,18 +618,6 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
         if temporary_snapshot is not None:
             temporary_snapshot.unlink(missing_ok=True)
     return 0
-
-
-def _request_references(request):
-    """(kind, name) pairs of the catalogue resources a request references.
-
-    Delegates to the shard router's extractor so the CLI's resolution check
-    and fingerprint routing can never disagree about which fields of a
-    request name catalogue resources.
-    """
-    from repro.shard.routing import request_references
-
-    return request_references(request.to_json())
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:

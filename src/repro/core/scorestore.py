@@ -35,8 +35,8 @@ copy whose individuals were rewritten) fall back to direct scoring, so the
 store is always safe to pass down a pipeline.
 
 Thread safety: all mutation happens under one lock; score vectors, codes and
-histogram values are immutable once published, so concurrent readers (the
-service batch executor) can share one store.
+histogram values are immutable once published, so concurrent readers (HTTP
+handler threads) can share one store.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from repro.errors import DataError, EmptyDatasetError, UnknownAttributeError
 __all__ = ["Individual", "Dataset", "order_values"]
 
 #: Guards per-dataset lazy caches (integer codings, materialised rows) so
-#: concurrent readers (the service batch executor) never duplicate work.
+#: concurrent readers (HTTP handler threads) never duplicate work.
 _codes_lock = threading.Lock()
 
 

@@ -7,7 +7,7 @@ Three small, dependency-free modules the whole serving stack records into:
   Prometheus text format for ``GET /v2/metrics`` (plus a parser the shard
   router uses to aggregate per-worker scrapes);
 * :mod:`repro.obs.trace` — trace ids and phase spans, propagated through
-  HTTP (``X-Fairank-Trace``), the batch executor and the score store via
+  HTTP (``X-Fairank-Trace``), batches and the score store via
   :mod:`contextvars`, surfaced as the envelope's ``timings`` field;
 * :mod:`repro.obs.log` — structured JSON-lines logging with verbose and
   ``--slow-ms`` gating.

@@ -7,7 +7,7 @@ call — carries one **trace id** end to end:
 
 * generated at ingress (client or server) when no trace is active;
 * propagated router → worker in the ``X-Fairank-Trace`` HTTP header and
-  across the batch executor's thread pool via a :mod:`contextvars` copy;
+  to every request of a batch via the active :mod:`contextvars` trace;
 * echoed back in the response's ``X-Fairank-Trace`` header and inside the
   envelope's ``timings`` field, so a slow answer can be matched to the
   router's and the worker's structured log lines.
@@ -62,9 +62,9 @@ def valid_trace_id(value: object) -> Optional[str]:
 class Trace:
     """One request's identity plus its accumulated phase timings (ms).
 
-    Thread-safe: a batch request's executor threads all record into their
-    own per-request traces, but a single request's compute path may itself
-    fan out (the score store is shared), so ``add`` locks.
+    Thread-safe: concurrent requests record into their own per-request
+    traces, but a single request's compute path may itself fan out (the
+    score store is shared), so ``add`` locks.
     """
 
     __slots__ = ("trace_id", "_timings", "_lock")

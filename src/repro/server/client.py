@@ -11,7 +11,7 @@ written against one client runs unchanged against the other.
 
 Beyond the per-kind methods it exposes the server's remaining endpoints:
 :meth:`HTTPFairnessClient.batch` (one round-trip for many requests through
-the server's :class:`~repro.service.executor.BatchExecutor`),
+the server's :meth:`~repro.service.service.FairnessService.execute_many`),
 :meth:`HTTPFairnessClient.catalog` and :meth:`HTTPFairnessClient.health`.
 
 The client is **shard-router aware by construction**: a
@@ -153,7 +153,7 @@ class HTTPFairnessClient(FairnessClientBase):
 
         Results come back in input order with per-slot error envelopes
         (``raise_errors`` does not apply: batch semantics are always
-        inspect-the-envelope, matching ``BatchExecutor``).
+        inspect-the-envelope, matching ``execute_many``).
         """
         status, payload = self._post(
             "/v2/batch", {"requests": [request.to_json() for request in requests]}

@@ -16,7 +16,7 @@ endpoint          method  body / response
 ``/v2/sweep``     POST    a :class:`~repro.service.jobs.SweepRequest` JSON
 ``/v2/end_user``  POST    an :class:`~repro.service.jobs.EndUserRequest` JSON
 ``/v2/job_owner`` POST    a :class:`~repro.service.jobs.JobOwnerRequest` JSON
-``/v2/batch``     POST    ``{"requests": [...]}`` through the batch executor
+``/v2/batch``     POST    ``{"requests": [...]}`` through ``execute_many``
 ``/v2/catalog``   GET     the catalogue listing (``Catalog.describe()``)
 ``/v2/health``    GET     liveness + cache / store-pool / uptime statistics
 ``/v2/metrics``   GET     the process metrics registry as Prometheus text
@@ -59,22 +59,18 @@ from repro.errors import FaiRankError, ServiceError
 from repro.obs.log import ObsLogger
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import TRACE_HEADER, Trace, activate, valid_trace_id
-from repro.service.executor import BatchExecutor
-from repro.service.jobs import PROTOCOL_VERSION, ServiceResult, request_from_json
+from repro.service.jobs import (
+    PROTOCOL_VERSION,
+    REQUEST_KINDS,
+    ServiceResult,
+    request_from_json,
+)
 from repro.service.service import FairnessService, _error_code
 
 __all__ = ["FairnessHTTPServer", "REQUEST_ENDPOINTS", "V2ServerBase"]
 
 #: The request kinds served as ``POST /v2/<kind>`` (one endpoint per kind).
-REQUEST_ENDPOINTS: Tuple[str, ...] = (
-    "quantify",
-    "audit",
-    "compare",
-    "breakdown",
-    "sweep",
-    "end_user",
-    "job_owner",
-)
+REQUEST_ENDPOINTS: Tuple[str, ...] = tuple(REQUEST_KINDS)
 
 #: HTTP status for an execution error envelope, by error code.
 _STATUS_BY_ERROR_CODE = {"catalog": 404}
@@ -309,7 +305,7 @@ class _Handler(_JSONRequestHandler):
                 "(either top-level or under a 'requests' key)"
             )
         # A slot whose entry does not even parse gets an error envelope in
-        # place, mirroring the executor's in-slot semantics for bad requests.
+        # place, mirroring execute_many's in-slot semantics for bad requests.
         parsed = []
         envelopes: Dict[int, ServiceResult] = {}
         for index, entry in enumerate(entries):
@@ -322,7 +318,7 @@ class _Handler(_JSONRequestHandler):
                     key="",
                     error={"code": _error_code(error), "message": str(error)},
                 )
-        results = self.server.executor.run([request for _, request in parsed])
+        results = self.server.service.execute_many([request for _, request in parsed])
         for (index, _), result in zip(parsed, results):
             envelopes[index] = result
         self._send_json(
@@ -488,9 +484,6 @@ class FairnessHTTPServer(V2ServerBase):
         ``FairnessService(catalog=Catalog.load(path))``.
     host / port:
         Bind address; ``port=0`` picks a free ephemeral port (see ``.port``).
-    max_workers:
-        Thread-pool width of the ``/v2/batch`` executor (HTTP concurrency
-        itself is one thread per connection, unbounded).
     verbose:
         Emit a structured JSON log event for every request (stderr).
     slow_ms:
@@ -506,13 +499,11 @@ class FairnessHTTPServer(V2ServerBase):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        max_workers: Optional[int] = None,
         verbose: bool = False,
         slow_ms: Optional[float] = None,
     ) -> None:
         super().__init__(host, port, _Handler)
         self.service = service
-        self.executor = BatchExecutor(service, max_workers=max_workers)
         self.configure_observability(verbose=verbose, slow_ms=slow_ms)
 
     def _refresh_gauges(self, registry: MetricsRegistry) -> None:

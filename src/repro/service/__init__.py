@@ -4,13 +4,12 @@ This package turns the FaiRank library into a servable engine (the thin
 data-management-application pattern: a service facade over analysis
 kernels).  See :mod:`repro.service.service` for the facade (which owns the
 system's single :class:`~repro.catalog.Catalog`), :mod:`repro.service.jobs`
-for wire protocol v2, :mod:`repro.service.client` for the in-process client
-facade, and :mod:`repro.service.executor` for the parallel batch executor.
+for wire protocol v2 (the request-kind table every layer derives from) and
+:mod:`repro.service.client` for the in-process client facade.
 """
 
 from repro.service.cache import CacheStats, LRUCache
 from repro.service.client import FairnessClient, FairnessClientBase
-from repro.service.executor import BatchExecutor, default_max_workers
 from repro.service.fingerprint import (
     combine_fingerprints,
     fingerprint_dataset,
@@ -36,7 +35,6 @@ from repro.service.service import CachedQuantify, FairnessService, StorePoolStat
 
 __all__ = [
     "AuditRequest",
-    "BatchExecutor",
     "BreakdownRequest",
     "CacheStats",
     "CachedQuantify",
@@ -54,7 +52,6 @@ __all__ = [
     "ServiceResult",
     "SweepRequest",
     "combine_fingerprints",
-    "default_max_workers",
     "fingerprint_dataset",
     "fingerprint_formulation",
     "fingerprint_function",

@@ -8,7 +8,7 @@ candidate splits a search evaluated, so one huge search can evict many cheap
 ones).
 
 ``get_or_compute`` is single-flight: when several threads request the same
-missing key concurrently (the batch executor does exactly this), only one
+missing key concurrently (HTTP handler threads do exactly this), only one
 runs the producer; the others block until the value lands and then read it
 as a hit.
 """

@@ -7,6 +7,14 @@ JSON-serialisable value object.  ``to_json`` / ``from_json`` round-trip
 losslessly (``from_json(to_json(r)) == r``), which is what lets a batch of
 requests live in a file, a queue or an HTTP body.
 
+The request dataclasses are the *only* description of a request kind.
+:data:`REQUEST_KINDS` lists the kinds; the wire codec is derived from each
+class's ``dataclasses.fields()`` and type annotations; fields that name a
+catalog resource carry a reference marker (see :func:`wire_fields`), from
+which the service cache key, the shard router's references and the CLI's
+resolution check are derived.  Adding a field therefore updates the codec
+and the cache key at once.
+
 **Protocol v2** adds a versioned envelope and three things v1 lacked:
 
 * every ``to_json`` payload carries ``"protocol": 2``; ingestion is
@@ -29,30 +37,45 @@ requests live in a file, a queue or an HTTP body.
   ``end_user``        one group, one job, several marketplaces (END-USER)
   ``job_owner``       full job-owner variant exploration with a verdict
   ==================  =====================================================
+
+Ingestion checks every value against its field's declared type: a boolean
+only from a JSON boolean, an integer only from a JSON integer (never a
+boolean, float or string), a tuple field only from a JSON array.  A mismatch
+is a :class:`~repro.errors.ServiceError`, never a coerced value.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import (
     Any,
+    Callable,
     ClassVar,
     Dict,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
     Type,
     Union,
+    get_args,
+    get_origin,
+    get_type_hints,
 )
 
+from repro.catalog import ResourceKind
 from repro.core.formulations import Formulation
 from repro.errors import ServiceError
 from repro.metrics.histogram import DEFAULT_BINS
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "REFERENCE_FIELDS",
+    "REQUEST_KINDS",
     "QuantifyRequest",
     "AuditRequest",
     "CompareRequest",
@@ -62,7 +85,9 @@ __all__ = [
     "JobOwnerRequest",
     "ServiceRequest",
     "ServiceResult",
+    "WireField",
     "request_from_json",
+    "wire_fields",
 ]
 
 #: The protocol version this build speaks (and stamps on outgoing payloads).
@@ -84,6 +109,10 @@ def _optional_str_tuple(value: Optional[Sequence[str]]) -> Optional[Tuple[str, .
     return tuple(str(item) for item in value)
 
 
+def _is_weight(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _normalise_weight_vectors(
     value: Optional[Sequence[Union[Mapping[str, float], Sequence[Tuple[str, float]]]]],
 ) -> Optional[Tuple[WeightVector, ...]]:
@@ -94,14 +123,15 @@ def _normalise_weight_vectors(
     for entry in value:
         items = entry.items() if isinstance(entry, Mapping) else entry
         try:
-            vectors.append(
-                tuple(sorted((str(name), float(weight)) for name, weight in items))
-            )
+            pairs = [(str(name), weight) for name, weight in items]
         except (TypeError, ValueError):
+            pairs = None
+        if pairs is None or not all(_is_weight(weight) for _, weight in pairs):
             raise ServiceError(
                 "each weight vector must map attribute names to numeric weights, "
                 f"got {entry!r}"
-            ) from None
+            )
+        vectors.append(tuple(sorted((name, float(weight)) for name, weight in pairs)))
     return tuple(vectors)
 
 
@@ -110,18 +140,151 @@ def _normalise_group(
 ) -> Tuple[Tuple[str, object], ...]:
     """Canonicalise an end-user group to sorted (attribute, value) pairs."""
     items = value.items() if isinstance(value, Mapping) else value
-    return tuple(sorted(((str(name), v) for name, v in items), key=lambda p: p[0]))
+    try:
+        pairs = [(str(name), v) for name, v in items]
+    except (TypeError, ValueError):
+        raise ServiceError(
+            f"an end-user group must map attribute names to values, got {value!r}"
+        ) from None
+    return tuple(sorted(pairs, key=lambda p: p[0]))
+
+
+# -- field markers -------------------------------------------------------------
+
+
+def _reference(kind: ResourceKind, *, many: bool = False) -> Any:
+    """A field naming catalog resource(s) of ``kind``: one name, or a tuple.
+
+    A single reference is required on the wire; a tuple of references
+    defaults to empty (the request's ``__post_init__`` says what is missing).
+    """
+    if many:
+        return field(default=(), metadata={"reference": kind})
+    return field(default="", metadata={"reference": kind, "required": True})
+
+
+def _required(default: object) -> Any:
+    """A field every wire payload of the kind must carry."""
+    return field(default=default, metadata={"required": True})
+
+
+# -- the derived codec ---------------------------------------------------------
+
+
+class _WireTypeError(Exception):
+    """A JSON value does not have its field's declared type."""
+
+
+class _Codec(NamedTuple):
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
+    description: str
+
+
+def _identity(value: Any) -> Any:
+    return value
+
+
+def _scalar_codec(expected: type) -> _Codec:
+    def decode(value: Any) -> Any:
+        if isinstance(value, bool) and expected is not bool:
+            raise _WireTypeError
+        if isinstance(value, expected):
+            return value
+        if expected is float and isinstance(value, int):
+            return float(value)
+        raise _WireTypeError
+
+    names = {bool: "boolean", int: "integer", float: "number", str: "string"}
+    return _Codec(_identity, decode, names[expected])
+
+
+def _codec(hint: Any) -> _Codec:
+    """Wire encoder/decoder for one declared field type."""
+    args = get_args(hint)
+    if get_origin(hint) is Union and type(None) in args:
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        base = _codec(inner)
+        return _Codec(
+            lambda value: None if value is None else base.encode(value),
+            lambda value: None if value is None else base.decode(value),
+            f"{base.description} or null",
+        )
+    if get_origin(hint) is tuple and args[1:] == (Ellipsis,):
+        pair = get_args(args[0]) if get_origin(args[0]) is tuple else ()
+        if len(pair) == 2 and pair[0] is str:
+            # ``(name, value)`` pairs travel as a JSON object (v1 files may
+            # send a list of pairs); the request's __post_init__ normaliser
+            # checks and sorts them.
+            value = _codec(pair[1])
+
+            def decode_pairs(raw: Any) -> Any:
+                if not isinstance(raw, (dict, list)):
+                    raise _WireTypeError
+                return raw
+
+            return _Codec(
+                lambda pairs: {name: value.encode(item) for name, item in pairs},
+                decode_pairs,
+                "object",
+            )
+        item = _codec(args[0])
+
+        def decode_items(raw: Any) -> Any:
+            if not isinstance(raw, list):
+                raise _WireTypeError
+            return tuple(item.decode(element) for element in raw)
+
+        return _Codec(
+            lambda items: [item.encode(element) for element in items],
+            decode_items,
+            f"array of {item.description}s",
+        )
+    if hint is object:
+        return _Codec(_identity, _identity, "value")
+    return _scalar_codec(hint)
+
+
+class WireField(NamedTuple):
+    """The codec's view of one request field."""
+
+    name: str
+    codec: _Codec
+    required: bool
+    #: The catalog kind this field names (None for plain fields).
+    reference: Optional[ResourceKind]
+    #: Whether the field holds a tuple of names (``functions``) or one.
+    many: bool
+
+
+@lru_cache(maxsize=None)
+def wire_fields(request_type: type) -> Tuple[WireField, ...]:
+    """Every wire field of a request class, derived from its dataclass fields."""
+    hints = get_type_hints(request_type)
+    return tuple(
+        WireField(
+            name=spec.name,
+            codec=_codec(hints[spec.name]),
+            required=spec.metadata.get("required", False),
+            reference=spec.metadata.get("reference"),
+            many=get_origin(hints[spec.name]) is tuple,
+        )
+        for spec in fields(request_type)
+    )
 
 
 @dataclass(frozen=True)
-class _FormulationMixin:
-    """Shared formulation fields (kept as plain strings for the wire).
+class ServiceRequest:
+    """Shared base of every request kind: formulation fields plus the codec.
 
-    String validation is *not* duplicated here: ``formulation()`` is the one
-    resolution path — :meth:`repro.core.formulations.Formulation.from_names`
-    — shared with the CLI and the experiments harness, so every layer raises
-    the same error message for a bad objective/aggregation/distance name.
+    String validation of the formulation is *not* duplicated here:
+    ``formulation()`` is the one resolution path —
+    :meth:`repro.core.formulations.Formulation.from_names` — shared with the
+    CLI and the experiments harness, so every layer raises the same error
+    message for a bad objective/aggregation/distance name.
     """
+
+    kind: ClassVar[str]
 
     objective: str = "most_unfair"
     aggregation: str = "average"
@@ -137,35 +300,44 @@ class _FormulationMixin:
             bins=self.bins,
         )
 
-    def _formulation_json(self) -> Dict[str, object]:
-        return {
-            "objective": self.objective,
-            "aggregation": self.aggregation,
-            "distance": self.distance,
-            "bins": self.bins,
-        }
+    def to_json(self) -> Dict[str, object]:
+        """The protocol-v2 wire form: envelope plus every field."""
+        payload: Dict[str, object] = {"protocol": PROTOCOL_VERSION, "kind": self.kind}
+        for spec in wire_fields(type(self)):
+            payload[spec.name] = spec.codec.encode(getattr(self, spec.name))
+        return payload
 
     @classmethod
-    def _formulation_kwargs(cls, payload: Mapping[str, object]) -> Dict[str, object]:
-        return {
-            "objective": str(payload.get("objective", "most_unfair")),
-            "aggregation": str(payload.get("aggregation", "average")),
-            "distance": str(payload.get("distance", "emd")),
-            "bins": int(payload.get("bins", DEFAULT_BINS)),  # type: ignore[arg-type]
-        }
-
-    def _envelope(self) -> Dict[str, object]:
-        return {"protocol": PROTOCOL_VERSION, "kind": self.kind}  # type: ignore[attr-defined]
+    def from_json(cls, payload: Mapping[str, object]) -> "ServiceRequest":
+        """Rebuild a request from its wire form, type-checking every field."""
+        values: Dict[str, object] = {}
+        for spec in wire_fields(cls):
+            if spec.name not in payload:
+                if spec.required:
+                    raise ServiceError(
+                        f"{cls.kind} request payload is missing required field "
+                        f"{spec.name!r}"
+                    )
+                continue
+            raw = payload[spec.name]
+            try:
+                values[spec.name] = spec.codec.decode(raw)
+            except _WireTypeError:
+                raise ServiceError(
+                    f"{cls.kind} request field {spec.name!r} must be a JSON "
+                    f"{spec.codec.description}, got {raw!r}"
+                ) from None
+        return cls(**values)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
-class QuantifyRequest(_FormulationMixin):
+class QuantifyRequest(ServiceRequest):
     """Run the QUANTIFY search for one (dataset, function) configuration."""
 
     kind: ClassVar[str] = "quantify"
 
-    dataset: str = ""
-    function: str = ""
+    dataset: str = _reference(ResourceKind.DATASET)
+    function: str = _reference(ResourceKind.FUNCTION)
     attributes: Optional[Tuple[str, ...]] = None
     max_depth: Optional[int] = None
     min_partition_size: int = 1
@@ -178,43 +350,14 @@ class QuantifyRequest(_FormulationMixin):
             raise ServiceError("a quantify request needs a scoring-function name")
         object.__setattr__(self, "attributes", _optional_str_tuple(self.attributes))
 
-    def to_json(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update({"dataset": self.dataset, "function": self.function})
-        payload.update(self._formulation_json())
-        payload.update(
-            {
-                "attributes": list(self.attributes) if self.attributes is not None else None,
-                "max_depth": self.max_depth,
-                "min_partition_size": self.min_partition_size,
-                "use_ranks_only": self.use_ranks_only,
-            }
-        )
-        return payload
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, object]) -> "QuantifyRequest":
-        return cls(
-            dataset=str(payload["dataset"]),
-            function=str(payload["function"]),
-            attributes=_optional_str_tuple(payload.get("attributes")),  # type: ignore[arg-type]
-            max_depth=(
-                None if payload.get("max_depth") is None
-                else int(payload["max_depth"])  # type: ignore[arg-type]
-            ),
-            min_partition_size=int(payload.get("min_partition_size", 1)),  # type: ignore[arg-type]
-            use_ranks_only=bool(payload.get("use_ranks_only", False)),
-            **cls._formulation_kwargs(payload),  # type: ignore[arg-type]
-        )
-
 
 @dataclass(frozen=True)
-class AuditRequest(_FormulationMixin):
+class AuditRequest(ServiceRequest):
     """Audit a whole marketplace (or one of its jobs): the AUDITOR scenario."""
 
     kind: ClassVar[str] = "audit"
 
-    marketplace: str = ""
+    marketplace: str = _reference(ResourceKind.MARKETPLACE)
     job: Optional[str] = None
     attributes: Optional[Tuple[str, ...]] = None
     min_partition_size: int = 1
@@ -224,37 +367,15 @@ class AuditRequest(_FormulationMixin):
             raise ServiceError("an audit request needs a marketplace name")
         object.__setattr__(self, "attributes", _optional_str_tuple(self.attributes))
 
-    def to_json(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update({"marketplace": self.marketplace, "job": self.job})
-        payload.update(self._formulation_json())
-        payload.update(
-            {
-                "attributes": list(self.attributes) if self.attributes is not None else None,
-                "min_partition_size": self.min_partition_size,
-            }
-        )
-        return payload
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, object]) -> "AuditRequest":
-        return cls(
-            marketplace=str(payload["marketplace"]),
-            job=None if payload.get("job") is None else str(payload["job"]),
-            attributes=_optional_str_tuple(payload.get("attributes")),  # type: ignore[arg-type]
-            min_partition_size=int(payload.get("min_partition_size", 1)),  # type: ignore[arg-type]
-            **cls._formulation_kwargs(payload),  # type: ignore[arg-type]
-        )
-
 
 @dataclass(frozen=True)
-class CompareRequest(_FormulationMixin):
+class CompareRequest(ServiceRequest):
     """Quantify several scoring functions over one dataset and rank them."""
 
     kind: ClassVar[str] = "compare"
 
-    dataset: str = ""
-    functions: Tuple[str, ...] = ()
+    dataset: str = _reference(ResourceKind.DATASET)
+    functions: Tuple[str, ...] = _reference(ResourceKind.FUNCTION, many=True)
     attributes: Optional[Tuple[str, ...]] = None
     max_depth: Optional[int] = None
     min_partition_size: int = 1
@@ -267,38 +388,9 @@ class CompareRequest(_FormulationMixin):
             raise ServiceError("a compare request needs at least one scoring function")
         object.__setattr__(self, "attributes", _optional_str_tuple(self.attributes))
 
-    def to_json(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update({"dataset": self.dataset, "functions": list(self.functions)})
-        payload.update(self._formulation_json())
-        payload.update(
-            {
-                "attributes": list(self.attributes) if self.attributes is not None else None,
-                "max_depth": self.max_depth,
-                "min_partition_size": self.min_partition_size,
-            }
-        )
-        return payload
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, object]) -> "CompareRequest":
-        return cls(
-            dataset=str(payload["dataset"]),
-            functions=tuple(
-                str(f) for f in payload.get("functions", ())  # type: ignore[union-attr]
-            ),
-            attributes=_optional_str_tuple(payload.get("attributes")),  # type: ignore[arg-type]
-            max_depth=(
-                None if payload.get("max_depth") is None
-                else int(payload["max_depth"])  # type: ignore[arg-type]
-            ),
-            min_partition_size=int(payload.get("min_partition_size", 1)),  # type: ignore[arg-type]
-            **cls._formulation_kwargs(payload),  # type: ignore[arg-type]
-        )
-
 
 @dataclass(frozen=True)
-class BreakdownRequest(_FormulationMixin):
+class BreakdownRequest(ServiceRequest):
     """Per-attribute unfairness: how unfair is each first-level split alone?
 
     The first step of QUANTIFY ranks protected attributes by how unfair the
@@ -309,8 +401,8 @@ class BreakdownRequest(_FormulationMixin):
 
     kind: ClassVar[str] = "breakdown"
 
-    dataset: str = ""
-    function: str = ""
+    dataset: str = _reference(ResourceKind.DATASET)
+    function: str = _reference(ResourceKind.FUNCTION)
     attributes: Optional[Tuple[str, ...]] = None
     min_partition_size: int = 1
     use_ranks_only: bool = False
@@ -322,50 +414,32 @@ class BreakdownRequest(_FormulationMixin):
             raise ServiceError("a breakdown request needs a scoring-function name")
         object.__setattr__(self, "attributes", _optional_str_tuple(self.attributes))
 
-    def to_json(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update({"dataset": self.dataset, "function": self.function})
-        payload.update(self._formulation_json())
-        payload.update(
-            {
-                "attributes": list(self.attributes) if self.attributes is not None else None,
-                "min_partition_size": self.min_partition_size,
-                "use_ranks_only": self.use_ranks_only,
-            }
-        )
-        return payload
 
-    @classmethod
-    def from_json(cls, payload: Mapping[str, object]) -> "BreakdownRequest":
-        return cls(
-            dataset=str(payload["dataset"]),
-            function=str(payload["function"]),
-            attributes=_optional_str_tuple(payload.get("attributes")),  # type: ignore[arg-type]
-            min_partition_size=int(payload.get("min_partition_size", 1)),  # type: ignore[arg-type]
-            use_ranks_only=bool(payload.get("use_ranks_only", False)),
-            **cls._formulation_kwargs(payload),  # type: ignore[arg-type]
-        )
+#: Points of an automatic sweep when a request does not say.
+DEFAULT_SWEEP_STEPS = 5
 
 
 @dataclass(frozen=True)
-class SweepRequest(_FormulationMixin):
+class SweepRequest(ServiceRequest):
     """Weight sweep over a linear scoring function (the JOB-OWNER core loop).
 
     Either an explicit list of weight vectors (``weights``) or an automatic
     ``steps``-point sweep over the base function's attributes.  An explicit
     vector fully specifies a variant's weights (normalized server-side;
     attributes it omits get weight 0 — vectors are *not* merged into the
-    base function's weights).  The service evaluates every point with one
-    materialized scoring pass per vector, shared between the summary
-    statistics, the QUANTIFY search and the unfairness breakdown via the
-    score-store pool.
+    base function's weights).  ``steps`` is unused when ``weights`` is
+    given, so it is pinned to :data:`DEFAULT_SWEEP_STEPS` there: two such
+    requests differing only in ``steps`` are equal and share a cache key.
+    The service evaluates every point with one materialized scoring pass per
+    vector, shared between the summary statistics, the QUANTIFY search and
+    the unfairness breakdown via the score-store pool.
     """
 
     kind: ClassVar[str] = "sweep"
 
-    dataset: str = ""
-    function: str = ""
-    steps: int = 5
+    dataset: str = _reference(ResourceKind.DATASET)
+    function: str = _reference(ResourceKind.FUNCTION)
+    steps: int = DEFAULT_SWEEP_STEPS
     weights: Optional[Tuple[WeightVector, ...]] = None
     attributes: Optional[Tuple[str, ...]] = None
     max_depth: Optional[int] = None
@@ -379,6 +453,8 @@ class SweepRequest(_FormulationMixin):
         object.__setattr__(self, "weights", _normalise_weight_vectors(self.weights))
         if self.weights is not None and not self.weights:
             raise ServiceError("a sweep request with explicit weights needs at least one vector")
+        if self.weights is not None:
+            object.__setattr__(self, "steps", DEFAULT_SWEEP_STEPS)
         if self.weights is None and self.steps < 2:
             raise ServiceError(f"an automatic sweep needs at least 2 steps, got {self.steps}")
         object.__setattr__(self, "attributes", _optional_str_tuple(self.attributes))
@@ -390,49 +466,15 @@ class SweepRequest(_FormulationMixin):
             return None
         return tuple(dict(vector) for vector in self.weights)
 
-    def to_json(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update({"dataset": self.dataset, "function": self.function})
-        payload.update(self._formulation_json())
-        payload.update(
-            {
-                "steps": self.steps,
-                "weights": (
-                    None if self.weights is None
-                    else [dict(vector) for vector in self.weights]
-                ),
-                "attributes": list(self.attributes) if self.attributes is not None else None,
-                "max_depth": self.max_depth,
-                "min_partition_size": self.min_partition_size,
-            }
-        )
-        return payload
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, object]) -> "SweepRequest":
-        return cls(
-            dataset=str(payload["dataset"]),
-            function=str(payload["function"]),
-            steps=int(payload.get("steps", 5)),  # type: ignore[arg-type]
-            weights=_normalise_weight_vectors(payload.get("weights")),  # type: ignore[arg-type]
-            attributes=_optional_str_tuple(payload.get("attributes")),  # type: ignore[arg-type]
-            max_depth=(
-                None if payload.get("max_depth") is None
-                else int(payload["max_depth"])  # type: ignore[arg-type]
-            ),
-            min_partition_size=int(payload.get("min_partition_size", 1)),  # type: ignore[arg-type]
-            **cls._formulation_kwargs(payload),  # type: ignore[arg-type]
-        )
-
 
 @dataclass(frozen=True)
-class EndUserRequest(_FormulationMixin):
+class EndUserRequest(ServiceRequest):
     """The END-USER scenario: one group, one job, several marketplaces."""
 
     kind: ClassVar[str] = "end_user"
 
-    group: Tuple[Tuple[str, object], ...] = ()
-    marketplaces: Tuple[str, ...] = ()
+    group: Tuple[Tuple[str, object], ...] = _required(())
+    marketplaces: Tuple[str, ...] = _reference(ResourceKind.MARKETPLACE, many=True)
     job: str = ""
 
     def __post_init__(self) -> None:
@@ -454,39 +496,16 @@ class EndUserRequest(_FormulationMixin):
         """The group as a plain ``{attribute: value}`` dict."""
         return dict(self.group)
 
-    def to_json(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update(
-            {
-                "group": dict(self.group),
-                "marketplaces": list(self.marketplaces),
-                "job": self.job,
-            }
-        )
-        payload.update(self._formulation_json())
-        return payload
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, object]) -> "EndUserRequest":
-        return cls(
-            group=_normalise_group(payload["group"]),  # type: ignore[arg-type]
-            marketplaces=tuple(
-                str(m) for m in payload.get("marketplaces", ())  # type: ignore[union-attr]
-            ),
-            job=str(payload.get("job", "")),
-            **cls._formulation_kwargs(payload),  # type: ignore[arg-type]
-        )
-
 
 @dataclass(frozen=True)
-class JobOwnerRequest(_FormulationMixin):
+class JobOwnerRequest(ServiceRequest):
     """The JOB-OWNER scenario: sweep one job's weights and recommend a variant."""
 
     kind: ClassVar[str] = "job_owner"
 
-    marketplace: str = ""
-    job: str = ""
-    sweep_steps: int = 5
+    marketplace: str = _reference(ResourceKind.MARKETPLACE)
+    job: str = _required("")
+    sweep_steps: int = DEFAULT_SWEEP_STEPS
     min_partition_size: int = 1
 
     def __post_init__(self) -> None:
@@ -499,48 +518,29 @@ class JobOwnerRequest(_FormulationMixin):
                 f"a job-owner sweep needs at least 2 steps, got {self.sweep_steps}"
             )
 
-    def to_json(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update(
-            {
-                "marketplace": self.marketplace,
-                "job": self.job,
-                "sweep_steps": self.sweep_steps,
-                "min_partition_size": self.min_partition_size,
-            }
-        )
-        payload.update(self._formulation_json())
-        return payload
 
-    @classmethod
-    def from_json(cls, payload: Mapping[str, object]) -> "JobOwnerRequest":
-        return cls(
-            marketplace=str(payload["marketplace"]),
-            job=str(payload["job"]),
-            sweep_steps=int(payload.get("sweep_steps", 5)),  # type: ignore[arg-type]
-            min_partition_size=int(payload.get("min_partition_size", 1)),  # type: ignore[arg-type]
-            **cls._formulation_kwargs(payload),  # type: ignore[arg-type]
-        )
+#: The one list of request kinds (``kind`` -> class).  The HTTP endpoints,
+#: the service's payload dispatch and the routing references derive from it.
+REQUEST_KINDS: Dict[str, Type[ServiceRequest]] = {
+    request_type.kind: request_type
+    for request_type in (
+        QuantifyRequest,
+        AuditRequest,
+        CompareRequest,
+        BreakdownRequest,
+        SweepRequest,
+        EndUserRequest,
+        JobOwnerRequest,
+    )
+}
 
-
-ServiceRequest = Union[
-    QuantifyRequest,
-    AuditRequest,
-    CompareRequest,
-    BreakdownRequest,
-    SweepRequest,
-    EndUserRequest,
-    JobOwnerRequest,
-]
-
-_REQUEST_KINDS: Dict[str, Type[ServiceRequest]] = {
-    QuantifyRequest.kind: QuantifyRequest,
-    AuditRequest.kind: AuditRequest,
-    CompareRequest.kind: CompareRequest,
-    BreakdownRequest.kind: BreakdownRequest,
-    SweepRequest.kind: SweepRequest,
-    EndUserRequest.kind: EndUserRequest,
-    JobOwnerRequest.kind: JobOwnerRequest,
+#: Every wire field that names catalog resources, over all kinds:
+#: ``field name -> (resource kind, holds a list of names)``.
+REFERENCE_FIELDS: Dict[str, Tuple[ResourceKind, bool]] = {
+    spec.name: (spec.reference, spec.many)
+    for request_type in REQUEST_KINDS.values()
+    for spec in wire_fields(request_type)
+    if spec.reference is not None
 }
 
 
@@ -570,21 +570,16 @@ def request_from_json(payload: Mapping[str, object]) -> ServiceRequest:
     except (KeyError, TypeError):
         raise ServiceError(
             "a request payload needs a 'kind' field "
-            f"(one of {', '.join(sorted(_REQUEST_KINDS))})"
+            f"(one of {', '.join(sorted(REQUEST_KINDS))})"
         ) from None
     try:
-        request_type = _REQUEST_KINDS[str(kind)]
+        request_type = REQUEST_KINDS[str(kind)]
     except KeyError:
         raise ServiceError(
             f"unknown request kind {kind!r}; known kinds: "
-            f"{', '.join(sorted(_REQUEST_KINDS))}"
+            f"{', '.join(sorted(REQUEST_KINDS))}"
         ) from None
-    try:
-        return request_type.from_json(payload)
-    except KeyError as missing:
-        raise ServiceError(
-            f"{kind} request payload is missing required field {missing.args[0]!r}"
-        ) from None
+    return request_type.from_json(payload)
 
 
 @dataclass(frozen=True)
@@ -611,11 +606,10 @@ class ServiceResult:
 
     ``timings`` is per-request observability metadata (:mod:`repro.obs`):
     the request's trace id plus a phase breakdown in milliseconds
-    (``key_ms``, ``compute_ms``, ``score_ms``, ``cache_ms``, ``queue_ms``
-    for batched requests, ``route_ms`` when served through the shard
-    router).  Like ``elapsed_s`` and ``store_stats`` it is *excluded* from
-    ``canonical()`` — two envelopes with different timings still compare
-    byte-identical on semantic content.
+    (``key_ms``, ``compute_ms``, ``score_ms``, ``cache_ms``, ``route_ms``
+    when served through the shard router).  Like ``elapsed_s`` and
+    ``store_stats`` it is *excluded* from ``canonical()`` — two envelopes
+    with different timings still compare byte-identical on semantic content.
     """
 
     kind: str

@@ -7,11 +7,11 @@ layer turns the library's pure functions into a servable engine:
 
 * a single :class:`~repro.catalog.Catalog` of named datasets, scoring
   functions, marketplaces and formulations — the one registry the session
-  engine, the role workflows, the batch executor and the CLI all resolve
+  engine, the role workflows, batch execution and the CLI all resolve
   resources through (fingerprint-aware, with replace/freeze semantics);
-* a **fingerprint-keyed result cache** so semantically identical requests
-  are computed once (:mod:`repro.service.fingerprint`,
-  :mod:`repro.service.cache`);
+* a **result cache** keyed by the canonical request JSON with resource
+  fingerprints, so identical requests are computed once
+  (:mod:`repro.service.fingerprint`, :mod:`repro.service.cache`);
 * **request execution** for the typed wire protocol v2 of
   :mod:`repro.service.jobs` — all seven request kinds — returning JSON-ready
   :class:`~repro.service.jobs.ServiceResult` envelopes, with failures
@@ -24,6 +24,8 @@ layer turns the library's pure functions into a servable engine:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import marshal
 import re
 import time
@@ -74,6 +76,7 @@ from repro.service.jobs import (
     ServiceRequest,
     ServiceResult,
     SweepRequest,
+    wire_fields,
 )
 
 __all__ = ["CachedQuantify", "FairnessService", "StorePoolStats"]
@@ -637,136 +640,35 @@ class FairnessService:
     # -- request execution (the wire protocol) --------------------------------
 
     def request_key(self, request: ServiceRequest) -> str:
-        """The cache key a request resolves to (content-based, not name-based).
+        """The cache key a request resolves to: SHA-256 of its canonical JSON.
 
-        Names are resolved through the catalog first, so two services that
-        register *different* data under the same name produce different keys,
-        and renaming identical data produces identical keys.
+        The hashed JSON is the request's wire form (kind included) with every
+        resource reference replaced by ``{"name", "fingerprint"}``: the
+        requested name (payloads echo it) plus the catalog entry's content
+        fingerprint (re-registering different data under a name changes the
+        key).  Every field is covered by construction; a field that must not
+        split the cache is normalised in the request's ``__post_init__``.
+        Unknown resources and invalid formulations raise here, before any
+        computation.  Content-level sharing across names happens one layer
+        down, in :meth:`quantify_cached`.
         """
-        if isinstance(request, QuantifyRequest):
-            function = self._effective_function(
-                self.dataset(request.dataset), request.function, request.use_ranks_only
-            )
-            return combine_fingerprints(
-                "request-quantify",
-                fingerprint_dataset(self.dataset(request.dataset)),
-                fingerprint_function(function),
-                fingerprint_formulation(request.formulation()),
-                fingerprint_value(
-                    {
-                        # Function fingerprints ignore display names, but the
-                        # payload echoes the requested name, so it keys too.
-                        "function_name": request.function,
-                        "attributes": None
-                        if request.attributes is None
-                        else list(request.attributes),
-                        "max_depth": request.max_depth,
-                        "min_partition_size": request.min_partition_size,
-                    }
-                ),
-            )
-        if isinstance(request, AuditRequest):
-            return combine_fingerprints(
-                "request-audit",
-                fingerprint_marketplace(self.marketplace(request.marketplace)),
-                fingerprint_formulation(request.formulation()),
-                fingerprint_value(
-                    {
-                        "job": request.job,
-                        "attributes": None
-                        if request.attributes is None
-                        else list(request.attributes),
-                        "min_partition_size": request.min_partition_size,
-                    }
-                ),
-            )
-        if isinstance(request, CompareRequest):
-            return combine_fingerprints(
-                "request-compare",
-                fingerprint_dataset(self.dataset(request.dataset)),
-                *[
-                    fingerprint_function(self.function(name))
-                    for name in request.functions
-                ],
-                fingerprint_formulation(request.formulation()),
-                fingerprint_value(
-                    {
-                        "function_names": list(request.functions),
-                        "attributes": None
-                        if request.attributes is None
-                        else list(request.attributes),
-                        "max_depth": request.max_depth,
-                        "min_partition_size": request.min_partition_size,
-                    }
-                ),
-            )
-        if isinstance(request, BreakdownRequest):
-            function = self._effective_function(
-                self.dataset(request.dataset), request.function, request.use_ranks_only
-            )
-            return combine_fingerprints(
-                "request-breakdown",
-                fingerprint_dataset(self.dataset(request.dataset)),
-                fingerprint_function(function),
-                fingerprint_formulation(request.formulation()),
-                fingerprint_value(
-                    {
-                        "function_name": request.function,
-                        "attributes": None
-                        if request.attributes is None
-                        else list(request.attributes),
-                        "min_partition_size": request.min_partition_size,
-                    }
-                ),
-            )
-        if isinstance(request, SweepRequest):
-            return combine_fingerprints(
-                "request-sweep",
-                fingerprint_dataset(self.dataset(request.dataset)),
-                fingerprint_function(self.function(request.function)),
-                fingerprint_formulation(request.formulation()),
-                fingerprint_value(
-                    {
-                        "function_name": request.function,
-                        # steps is ignored whenever explicit weights are given,
-                        # so it must not split semantically identical requests.
-                        "steps": request.steps if request.weights is None else None,
-                        "weights": None if request.weights is None
-                        else [list(vector) for vector in request.weights],
-                        "attributes": None
-                        if request.attributes is None
-                        else list(request.attributes),
-                        "max_depth": request.max_depth,
-                        "min_partition_size": request.min_partition_size,
-                    }
-                ),
-            )
-        if isinstance(request, EndUserRequest):
-            return combine_fingerprints(
-                "request-end-user",
-                fingerprint_value(dict(request.group)),
-                fingerprint_value(request.job),
-                fingerprint_formulation(request.formulation()),
-                fingerprint_value(list(request.marketplaces)),
-                *[
-                    fingerprint_marketplace(self.marketplace(name))
-                    for name in request.marketplaces
-                ],
-            )
-        if isinstance(request, JobOwnerRequest):
-            return combine_fingerprints(
-                "request-job-owner",
-                fingerprint_marketplace(self.marketplace(request.marketplace)),
-                fingerprint_formulation(request.formulation()),
-                fingerprint_value(
-                    {
-                        "job": request.job,
-                        "sweep_steps": request.sweep_steps,
-                        "min_partition_size": request.min_partition_size,
-                    }
-                ),
-            )
-        raise ServiceError(f"unsupported request type {type(request).__name__}")
+        wire = request.to_json()
+        for spec in wire_fields(type(request)):
+            if spec.reference is not None:
+                wire[spec.name] = self._pin(spec.reference, wire[spec.name])
+        request.formulation()
+        canonical = json.dumps(wire, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def _pin(self, kind: ResourceKind, value: object) -> object:
+        """A reference (or list of references) as it enters a request key."""
+        if isinstance(value, list):
+            return [self._pin(kind, name) for name in value]
+        try:
+            fingerprint = self.catalog.get(kind, str(value)).fingerprint
+        except CatalogError as error:
+            raise ServiceError(str(error)) from None
+        return {"name": value, "fingerprint": fingerprint}
 
     def error_result(
         self,
@@ -820,20 +722,12 @@ class FairnessService:
         ).observe(elapsed, kind=kind)
 
     def execute(
-        self,
-        request: ServiceRequest,
-        key: Optional[str] = None,
-        *,
-        queue_s: Optional[float] = None,
+        self, request: ServiceRequest, key: Optional[str] = None
     ) -> ServiceResult:
         """Execute one request, serving from the cache when possible.
 
-        ``key`` lets callers that already computed :meth:`request_key` (the
-        batch executor does, for deduplication) skip recomputing it — for
-        rank-only requests the key itself involves ranking the population.
-        ``queue_s`` is how long the request waited before execution started
-        (the batch executor measures it); it lands in the envelope's
-        ``timings`` as ``queue_ms``.
+        ``key`` lets callers that already computed :meth:`request_key`
+        (:meth:`execute_many` does, for deduplication) skip recomputing it.
 
         A request that fails with a library error (unknown resource, invalid
         formulation, empty candidate pool, ...) returns an **error envelope**
@@ -854,8 +748,6 @@ class FairnessService:
         # ingress, batch parent): batched requests share one trace id while
         # keeping per-request timings.
         trace = Trace(trace_id=current_trace_id())
-        if queue_s:
-            trace.add("queue", queue_s)
         registry = get_registry()
         with activate(trace):
             try:
@@ -887,15 +779,29 @@ class FairnessService:
             timings=self._finish_timings(trace, elapsed),
         )
 
-    def execute_many(
-        self,
-        requests: Sequence[ServiceRequest],
-        max_workers: Optional[int] = None,
-    ) -> List[ServiceResult]:
-        """Run a batch of requests concurrently (see ``BatchExecutor``)."""
-        from repro.service.executor import BatchExecutor
+    def execute_many(self, requests: Sequence[ServiceRequest]) -> List[ServiceResult]:
+        """Run a batch serially, computing each distinct key once.
 
-        return BatchExecutor(self, max_workers=max_workers).run(requests)
+        Results come back in input order, and requests with the same key
+        share one :class:`~repro.service.jobs.ServiceResult`.  A request
+        whose key cannot be computed (it references a resource the catalog
+        does not know, or names an invalid formulation) gets an error
+        envelope in its slot instead of failing the whole batch.  Parallel
+        serving is the worker fleet's job (:mod:`repro.shard`): under the
+        GIL a thread pool here ran slower than this loop.
+        """
+        served: Dict[str, ServiceResult] = {}
+        results: List[ServiceResult] = []
+        for request in requests:
+            try:
+                key = self.request_key(request)
+            except FaiRankError as error:
+                results.append(self.error_result(request, error))
+                continue
+            if key not in served:
+                served[key] = self.execute(request, key)
+            results.append(served[key])
+        return results
 
     # -- payload builders ------------------------------------------------------
 
@@ -915,21 +821,8 @@ class FairnessService:
         return function
 
     def _build_payload(self, request: ServiceRequest) -> Dict[str, object]:
-        if isinstance(request, QuantifyRequest):
-            return self._quantify_payload(request)
-        if isinstance(request, AuditRequest):
-            return self._audit_payload(request)
-        if isinstance(request, CompareRequest):
-            return self._compare_payload(request)
-        if isinstance(request, BreakdownRequest):
-            return self._breakdown_payload(request)
-        if isinstance(request, SweepRequest):
-            return self._sweep_payload(request)
-        if isinstance(request, EndUserRequest):
-            return self._end_user_payload(request)
-        if isinstance(request, JobOwnerRequest):
-            return self._job_owner_payload(request)
-        raise ServiceError(f"unsupported request type {type(request).__name__}")
+        """Dispatch on kind: every kind has a ``_<kind>_payload`` handler."""
+        return getattr(self, f"_{request.kind}_payload")(request)
 
     def _quantify_payload(self, request: QuantifyRequest) -> Dict[str, object]:
         dataset = self.dataset(request.dataset)

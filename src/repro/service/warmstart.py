@@ -52,7 +52,9 @@ __all__ = ["WARM_FORMAT", "WARM_VERSION", "save_warm_state", "load_warm_state"]
 WARM_FORMAT = "fairank-warmstart"
 
 #: The bundle schema version this build writes (and the only one it reads).
-WARM_VERSION = 1
+#: Version 2: result-cache keys hash the canonical request JSON, so version-1
+#: entries could never be hit and are skipped with the whole bundle.
+WARM_VERSION = 2
 
 
 def _metrics():

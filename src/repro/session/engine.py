@@ -15,7 +15,7 @@ and comparing panels.
   :class:`~repro.catalog.Catalog` owned by the engine's
   :class:`~repro.service.service.FairnessService`, so resources registered
   through the engine are immediately servable through raw wire requests,
-  the batch executor and the CLI (and vice versa);
+  batch execution and the CLI (and vice versa);
 * ``open_panel(config)`` runs the full pipeline for one configuration and
   returns a :class:`~repro.session.panels.Panel`;
 * ``compare(...)`` renders the multi-panel comparison table;
@@ -54,7 +54,7 @@ class FaiRankEngine:
     with a semantically identical configuration (same population, same
     weights, same formulation) is served from the fingerprint-keyed cache
     instead of re-running the search.  Pass a shared service to let several
-    engines (or a batch executor) reuse one cache *and one catalogue* —
+    engines (or HTTP handler threads) reuse one cache *and one catalogue* —
     the engine holds no dataset/function dicts of its own.
     """
 

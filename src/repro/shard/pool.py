@@ -135,7 +135,7 @@ class WorkerPool:
         ``min(backoff_base_s * 2**r, backoff_max_s)`` before respawning.
     worker_arguments:
         Extra ``fairank serve`` flags appended to every worker's command
-        line (e.g. ``["--batch-workers", "32", "--verbose"]``).
+        line (e.g. ``["--verbose", "--slow-ms", "50"]``).
     warm_dir:
         Optional warm-start root.  Each slot gets its own
         ``--warm-dir <warm_dir>/slot-<n>`` (per-slot subdirectories keep
@@ -501,6 +501,9 @@ class WorkerPool:
                 try:
                     handle = self._boot_worker(slot)
                 except ServiceError as error:
+                    if self._stopping.is_set():
+                        # stop() aborted this boot: not a failed boot.
+                        return
                     attempt += 1
                     with self._lock:
                         self._restart_reasons[slot]["failed_boot"] += 1

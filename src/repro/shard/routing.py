@@ -6,9 +6,10 @@ vectors (:class:`~repro.core.scorestore.ScoreStore`) and result cache serve
 the whole key's traffic.  Three small pure functions implement it:
 
 1. :func:`request_references` extracts the ``(kind, name)`` resource
-   references from a wire-protocol-v2 request payload (dataset, scoring
-   function(s), marketplace(s)) without validating the request — the worker
-   stays the single validation authority;
+   references from a wire-protocol-v2 request payload — the fields the
+   request dataclasses mark as references
+   (:data:`~repro.service.jobs.REFERENCE_FIELDS`) — without validating the
+   request: the worker stays the single validation authority;
 2. :func:`routing_key` resolves each referenced name through the snapshot's
    fingerprint index (:func:`repro.snapshot.snapshot_fingerprints`) and
    hashes the sorted resolved references, so routing follows resource
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 import hashlib
 from typing import Dict, Mapping, Optional, Tuple
+
+from repro.service.jobs import REFERENCE_FIELDS
 
 __all__ = ["request_references", "routing_key", "worker_slot"]
 
@@ -46,17 +49,15 @@ def request_references(payload: Mapping[str, object]) -> Tuple[Reference, ...]:
     function) pair should share one worker's score store.
     """
     references = set()
-    for field, kind in (("dataset", "dataset"), ("function", "function"),
-                        ("marketplace", "marketplace")):
+    for field, (kind, many) in REFERENCE_FIELDS.items():
         value = payload.get(field)
-        if isinstance(value, str) and value:
-            references.add((kind, value))
-    for field, kind in (("functions", "function"), ("marketplaces", "marketplace")):
-        value = payload.get(field)
-        if isinstance(value, (list, tuple)):
-            for name in value:
-                if isinstance(name, str) and name:
-                    references.add((kind, name))
+        if many:
+            names = value if isinstance(value, (list, tuple)) else ()
+        else:
+            names = (value,)
+        for name in names:
+            if isinstance(name, str) and name:
+                references.add((kind.value, name))
     return tuple(sorted(references))
 
 

@@ -133,8 +133,7 @@ class TestServeBatchPartialFailure:
             {"kind": "quantify", "dataset": "table1", "function": "table1-f"},
             {"kind": "quantify", "dataset": "missing-data", "function": "table1-f"},
         ]))
-        assert main(["serve-batch", str(path), "--market-size", "60",
-                     "--serial"]) == 1
+        assert main(["serve-batch", str(path), "--market-size", "60"]) == 1
         output = capsys.readouterr().out
         assert "! #2" in output and "unknown dataset 'missing-data'" in output
 

@@ -1,7 +1,7 @@
 """Concurrency stress: one FairnessService hammered from many threads.
 
-The serving stack multiplexes every transport — HTTP handler threads, the
-batch executor's pool, the shard router's fan-out — onto one
+The serving stack multiplexes every transport — HTTP handler threads,
+batches, the shard router's fan-out — onto one
 :class:`~repro.service.service.FairnessService`.  Its result cache
 (single-flight ``get_or_compute``) and score-store pool are the two shared
 mutable structures; a race in either would surface as a divergent payload,
@@ -22,7 +22,6 @@ from repro.experiments.workloads import crowdsourcing_marketplace, synthetic_pop
 from repro.scoring.linear import LinearScoringFunction
 from repro.service import (
     AuditRequest,
-    BatchExecutor,
     BreakdownRequest,
     CompareRequest,
     FairnessService,
@@ -123,10 +122,8 @@ class TestServiceUnderThreadStress:
             request: reference_service.execute(request).canonical()
             for request in requests
         }
-        executor = BatchExecutor(service, max_workers=8)
-
         def run_batch(round_index: int):
-            return [result.canonical() for result in executor.run(requests)]
+            return [result.canonical() for result in service.execute_many(requests)]
 
         def run_raw(round_index: int):
             generator = random.Random(round_index)

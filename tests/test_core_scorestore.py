@@ -17,7 +17,7 @@ from repro.errors import FormulationError
 from repro.experiments.workloads import crowdsourcing_marketplace, synthetic_population
 from repro.metrics.histogram import Binning, build_histogram
 from repro.scoring.linear import LinearScoringFunction
-from repro.service import BatchExecutor, FairnessService, QuantifyRequest
+from repro.service import FairnessService, QuantifyRequest
 
 
 @pytest.fixture(scope="module")
@@ -353,13 +353,13 @@ class TestThreadSafety:
             )
             for aggregation in ("average", "maximum", "minimum", "variance")
         ] * 2
-        serial = BatchExecutor(service).run_serial(requests)
+        serial = [service.execute(request) for request in requests]
         fresh = FairnessService()
         fresh.register_dataset(synthetic_population(size=300, seed=7), name="pop")
         fresh.register_function(
             LinearScoringFunction({"Language Test": 0.5, "Rating": 0.5}, name="balanced")
         )
-        batched = BatchExecutor(fresh, max_workers=8).run(requests)
+        batched = fresh.execute_many(requests)
         assert [r.canonical() for r in batched] == [r.canonical() for r in serial]
         # All four formulations share one (dataset, function) scoring pass.
         assert fresh.store_stats.scoring_passes == 1

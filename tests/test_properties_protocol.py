@@ -22,15 +22,22 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+import dataclasses
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import Catalog, ResourceKind
 from repro.core.formulations import Formulation
 from repro.data.dataset import Dataset, Individual
+from repro.data.loaders import TABLE1_WEIGHTS, load_example_table1
 from repro.data.schema import Schema, observed, protected
+from repro.errors import ServiceError
+from repro.experiments.workloads import crowdsourcing_marketplace
 from repro.scoring.linear import LinearScoringFunction
 from repro.service.jobs import (
+    REQUEST_KINDS,
     AuditRequest,
     BreakdownRequest,
     CompareRequest,
@@ -40,7 +47,9 @@ from repro.service.jobs import (
     ServiceResult,
     SweepRequest,
     request_from_json,
+    wire_fields,
 )
+from repro.service.service import FairnessService
 
 SETTINGS = settings(
     max_examples=40,
@@ -208,6 +217,120 @@ class TestRequestRoundTrips:
         once = request_from_json(request.to_json())
         twice = request_from_json(once.to_json())
         assert twice == once == request
+
+
+#: A wrongly typed JSON value for each declared field type (by the codec's
+#: description of it); ``null`` is wrong unless the field is optional.
+WRONG_VALUES = {
+    "boolean": st.sampled_from(["false", 0, 1, 1.5, [True]]),
+    "integer": st.sampled_from(["5", 5.0, True, False, [1], {"n": 1}]),
+    "string": st.sampled_from([5, 1.5, True, ["x"], {"a": "b"}]),
+    "array": st.sampled_from(["Gender", "fg", 5, True, {"a": 1}]),
+    "object": st.sampled_from(["Gender", 5, 1.5, True]),
+}
+
+
+@st.composite
+def wrongly_typed_payloads(draw):
+    """A valid request's wire form with one field replaced by a wrong type."""
+    request = draw(any_request)
+    spec = draw(st.sampled_from(wire_fields(type(request))))
+    description = spec.codec.description
+    pool = WRONG_VALUES[description.split()[0]]
+    if not description.endswith("or null"):
+        pool = pool | st.none()
+    payload = request.to_json()
+    payload[spec.name] = draw(pool)
+    return spec.name, payload
+
+
+class TestWrongTypes:
+    @SETTINGS
+    @given(case=wrongly_typed_payloads())
+    def test_a_wrong_json_type_is_a_service_error_naming_the_field(self, case):
+        name, payload = case
+        with pytest.raises(ServiceError, match=f"'{name}'"):
+            request_from_json(json.loads(json.dumps(payload)))
+
+
+# -- cache-key completeness ----------------------------------------------------
+
+
+def key_service() -> FairnessService:
+    """Every resource has a content-identical twin under a second name."""
+    service = FairnessService()
+    dataset = load_example_table1()
+    service.register_dataset(dataset, name="table1")
+    service.register_dataset(dataset, name="table1-copy")
+    service.register_function(LinearScoringFunction(TABLE1_WEIGHTS, name="table1-f"))
+    service.register_function(LinearScoringFunction(TABLE1_WEIGHTS, name="table1-g"))
+    service.register_function(
+        LinearScoringFunction({"Language Test": 0.5, "Rating": 0.5}, name="balanced")
+    )
+    market = crowdsourcing_marketplace(size=40, seed=7)
+    service.register_marketplace(market)
+    service.catalog.register(market, name="market-copy", kind=ResourceKind.MARKETPLACE)
+    return service
+
+
+KEY_SERVICE = key_service()
+
+REFERENCE_NAMES = {
+    ResourceKind.DATASET: st.sampled_from(["table1", "table1-copy"]),
+    ResourceKind.FUNCTION: st.sampled_from(["table1-f", "table1-g", "balanced"]),
+    ResourceKind.MARKETPLACE: st.sampled_from(["crowdsourcing-sim", "market-copy"]),
+}
+
+#: Values every non-reference field may take in a key-resolvable request.
+FIELD_VALUES = {
+    **formulation_fields,
+    "attributes": optional_names,
+    "max_depth": st.none() | st.integers(min_value=1, max_value=9),
+    "min_partition_size": st.integers(min_value=1, max_value=20),
+    "use_ranks_only": st.booleans(),
+    "job": names,
+    "steps": st.integers(min_value=2, max_value=9),
+    "sweep_steps": st.integers(min_value=2, max_value=9),
+    "weights": st.none() | st.lists(weights, min_size=1, max_size=3).map(tuple),
+    "group": st.dictionaries(names, group_values, min_size=1, max_size=3),
+}
+
+#: The only (kind, field) pairs allowed not to move the key, and when.
+KEY_IRRELEVANT = {("sweep", "steps"): lambda request: request.weights is not None}
+
+
+def field_values(request_type, spec):
+    if spec.reference is not None:
+        one = REFERENCE_NAMES[spec.reference]
+        return st.lists(one, min_size=1, max_size=3).map(tuple) if spec.many else one
+    if request_type is AuditRequest and spec.name == "job":
+        return st.none() | names
+    return FIELD_VALUES[spec.name]
+
+
+@st.composite
+def perturbed_requests(draw):
+    """A key-resolvable request plus a copy with one field redrawn."""
+    request_type = draw(st.sampled_from(list(REQUEST_KINDS.values())))
+    specs = wire_fields(request_type)
+    base = request_type(**{spec.name: draw(field_values(request_type, spec)) for spec in specs})
+    spec = draw(st.sampled_from(specs))
+    perturbed = dataclasses.replace(
+        base, **{spec.name: draw(field_values(request_type, spec))}
+    )
+    return base, spec.name, perturbed
+
+
+class TestKeyCompleteness:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=perturbed_requests())
+    def test_perturbing_any_field_changes_the_key(self, case):
+        base, name, perturbed = case
+        declared = KEY_IRRELEVANT.get((base.kind, name), lambda request: False)(base)
+        assume(declared or getattr(perturbed, name) != getattr(base, name))
+        same_key = KEY_SERVICE.request_key(perturbed) == KEY_SERVICE.request_key(base)
+        assert same_key == declared, f"{base.kind}.{name}"
 
 
 json_scalars = st.one_of(

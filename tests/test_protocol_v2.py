@@ -9,6 +9,7 @@ resolve via a raw wire request).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -23,7 +24,6 @@ from repro.scoring.linear import LinearScoringFunction
 from repro.service import (
     PROTOCOL_VERSION,
     AuditRequest,
-    BatchExecutor,
     BreakdownRequest,
     CompareRequest,
     EndUserRequest,
@@ -34,7 +34,7 @@ from repro.service import (
     SweepRequest,
     request_from_json,
 )
-from repro.service.jobs import ServiceResult
+from repro.service.jobs import REQUEST_KINDS, ServiceResult
 from repro.session.config import SessionConfig
 from repro.session.engine import FaiRankEngine
 
@@ -197,7 +197,7 @@ class TestErrorEnvelopes:
             QuantifyRequest(dataset="missing", function="table1-f"),
             AuditRequest(marketplace="crowdsourcing-sim", min_partition_size=3),
         ]
-        results = BatchExecutor(service, max_workers=4).run(batch)
+        results = service.execute_many(batch)
         assert [r.ok for r in results] == [True, False, True]
         assert results[1].kind == "quantify"
         assert results[1].error["code"] == "service"
@@ -209,6 +209,76 @@ class TestErrorEnvelopes:
         )
         assert result.ok is False
         assert result.error["code"] == "formulation"
+
+
+#: One request per kind that echoes a resource name in its payload, plus
+#: the field it names and the payload key that echoes it.
+RENAMED_REQUESTS = [
+    (QuantifyRequest(dataset="copy", function="table1-f", min_partition_size=2),
+     "dataset"),
+    (BreakdownRequest(dataset="copy", function="table1-f"), "dataset"),
+    (SweepRequest(dataset="copy", function="table1-f", steps=3,
+                  min_partition_size=2), "dataset"),
+    (AuditRequest(marketplace="copy", min_partition_size=3), "marketplace"),
+    (JobOwnerRequest(marketplace="copy", job="Data labelling", sweep_steps=3,
+                     min_partition_size=3), "marketplace"),
+]
+
+
+class TestRequestKeys:
+    @pytest.mark.parametrize(
+        "renamed,field", RENAMED_REQUESTS, ids=[r.kind for r, _ in RENAMED_REQUESTS]
+    )
+    def test_same_content_under_another_name_echoes_the_requested_name(
+        self, service, renamed, field
+    ):
+        # The same content registered under a second name: a request on the
+        # second name must not be served the first name's cached payload.
+        original_name = "table1" if field == "dataset" else "crowdsourcing-sim"
+        kind = ResourceKind.DATASET if field == "dataset" else ResourceKind.MARKETPLACE
+        service.catalog.register(
+            service.catalog.resolve(kind, original_name), name="copy", kind=kind
+        )
+        original = dataclasses.replace(renamed, **{field: original_name})
+        assert service.execute(original).payload[field] == original_name
+        served = service.execute(renamed)
+        assert served.ok
+        assert served.payload[field] == "copy"
+        assert served.key != service.request_key(original)
+
+    def test_new_content_under_the_same_name_changes_the_key(self, service):
+        request = QuantifyRequest(dataset="table1", function="table1-f")
+        before = service.request_key(request)
+        service.register_dataset(
+            load_example_table1().filter(lambda row: row["Gender"] == "Female"),
+            name="table1",
+        )
+        assert service.request_key(request) != before
+
+    def test_sweep_steps_do_not_split_explicit_weight_requests(self, service):
+        weights = ({"Language Test": 0.3, "Rating": 0.7},)
+        three = SweepRequest(dataset="table1", function="table1-f", steps=3, weights=weights)
+        seven = SweepRequest(dataset="table1", function="table1-f", steps=7, weights=weights)
+        assert three == seven
+        assert service.request_key(three) == service.request_key(seven)
+        automatic = SweepRequest(dataset="table1", function="table1-f", steps=3)
+        assert service.request_key(automatic) != service.request_key(
+            dataclasses.replace(automatic, steps=7)
+        )
+
+    def test_every_kind_has_a_payload_handler(self, service):
+        for kind in REQUEST_KINDS:
+            assert callable(getattr(service, f"_{kind}_payload"))
+
+    def test_key_errors_keep_an_empty_key(self, service):
+        for request in (
+            QuantifyRequest(dataset="nope", function="table1-f"),
+            CompareRequest(dataset="table1", functions=("table1-f", "nope")),
+            EndUserRequest(group={"Gender": "Female"}, marketplaces=("nope",), job="J"),
+            QuantifyRequest(dataset="table1", function="table1-f", distance="nope"),
+        ):
+            result = service.execute(request)
+            assert result.error is not None and result.key == ""
 
 
 class TestNewKindsServing:
@@ -236,7 +306,7 @@ class TestNewKindsServing:
         assert result.ok is False
         assert result.error["code"] == "service"
         assert "at least one protected attribute" in result.error["message"]
-        batch = BatchExecutor(service, max_workers=2).run([
+        batch = service.execute_many([
             QuantifyRequest(dataset="table1", function="table1-f"),
             BreakdownRequest(dataset="table1", function="table1-f", attributes=()),
         ])

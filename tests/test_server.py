@@ -382,3 +382,45 @@ class TestBatchMalformedSlotsOverHTTP:
         assert oks == [False, True, False, True]
         assert payload["results"][1]["payload"]["function"] == "table1-f"
         assert payload["results"][3]["payload"]["function"] == "balanced"
+
+
+#: Wire fields whose JSON type does not match the declared field type.
+WRONG_TYPED_FIELDS = [
+    ("/v2/quantify", {"bins": "abc"}, "'bins'"),
+    ("/v2/quantify", {"max_depth": [1]}, "'max_depth'"),
+    ("/v2/quantify", {"use_ranks_only": "false"}, "'use_ranks_only'"),
+    ("/v2/quantify", {"attributes": "Gender"}, "'attributes'"),
+    ("/v2/compare", {"functions": "fg"}, "'functions'"),
+]
+
+
+class TestTypedWireFields:
+    """A wrongly typed field is a 400 (or an in-slot error), never a 500."""
+
+    @pytest.mark.parametrize("path,fields,named", WRONG_TYPED_FIELDS)
+    def test_wrong_type_is_a_400(self, server, path, fields, named):
+        body = {"dataset": "table1", "function": "table1-f"}
+        if path == "/v2/compare":
+            body = {"dataset": "table1"}
+        body.update(fields)
+        status, payload = raw_call(
+            server, path, method="POST", body=json.dumps(body).encode()
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "service"
+        assert named in payload["error"]["message"]
+
+    def test_wrong_type_in_a_batch_stays_in_its_slot(self, server):
+        entries = [
+            {"kind": "quantify", "dataset": "table1", "function": "table1-f", **fields}
+            for _, fields, _ in WRONG_TYPED_FIELDS[:4]
+        ]
+        entries.insert(2, {"kind": "quantify", "dataset": "table1", "function": "table1-f"})
+        status, payload = raw_call(
+            server, "/v2/batch", method="POST",
+            body=json.dumps({"requests": entries}).encode(),
+        )
+        assert status == 200
+        oks = [entry["error"] is None for entry in payload["results"]]
+        assert oks == [False, False, True, False, False]
+        assert "must be a JSON integer" in payload["results"][0]["error"]["message"]

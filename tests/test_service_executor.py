@@ -1,17 +1,14 @@
-"""Batch executor: concurrency, deduplication, deterministic ordering."""
+"""Batch execution (``FairnessService.execute_many``): dedup and ordering."""
 
 from __future__ import annotations
 
 from typing import List
-
-import pytest
 
 from repro.experiments.workloads import crowdsourcing_marketplace
 from repro.marketplace.generator import CrowdsourcingGenerator
 from repro.scoring.linear import LinearScoringFunction
 from repro.service import (
     AuditRequest,
-    BatchExecutor,
     CompareRequest,
     FairnessService,
     QuantifyRequest,
@@ -62,15 +59,16 @@ def mixed_batch_16() -> List:
 
 class TestBatchExecution:
     def test_16_request_batch_matches_serial_byte_for_byte(self):
-        serial = BatchExecutor(build_service()).run_serial(mixed_batch_16())
-        batched = BatchExecutor(build_service(), max_workers=8).run(mixed_batch_16())
+        service = build_service()
+        serial = [service.execute(request) for request in mixed_batch_16()]
+        batched = build_service().execute_many(mixed_batch_16())
         assert len(serial) == len(batched) == 16
         assert [r.canonical() for r in batched] == [r.canonical() for r in serial]
 
     def test_results_come_back_in_input_order(self):
         service = build_service()
         batch = mixed_batch_16()
-        results = BatchExecutor(service, max_workers=4).run(batch)
+        results = service.execute_many(batch)
         assert [result.kind for result in results] == [request.kind for request in batch]
         assert [result.key for result in results] == [
             service.request_key(request) for request in batch
@@ -79,36 +77,26 @@ class TestBatchExecution:
     def test_duplicate_requests_share_one_computation(self):
         service = build_service()
         request = QuantifyRequest(dataset="pop", function="balanced", min_partition_size=3)
-        results = BatchExecutor(service, max_workers=8).run([request] * 8)
+        results = service.execute_many([request] * 8)
         assert len(results) == 8
         assert len({id(result) for result in results}) == 1, "duplicates share the result"
         # Only one quantify computation hit the service cache as a miss.
         assert service.cache_stats.misses == 2  # request payload + quantify kernel
 
     def test_empty_batch(self):
-        assert BatchExecutor(build_service()).run([]) == []
-
-    def test_single_worker_still_correct(self):
-        serial = BatchExecutor(build_service()).run_serial(mixed_batch_16())
-        one_worker = BatchExecutor(build_service(), max_workers=1).run(mixed_batch_16())
-        assert [r.canonical() for r in one_worker] == [r.canonical() for r in serial]
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            BatchExecutor(build_service(), max_workers=0)
+        assert build_service().execute_many([]) == []
 
     def test_execute_many_is_the_service_entry_point(self):
         service = build_service()
         batch = mixed_batch_16()[:4]
-        results = service.execute_many(batch, max_workers=4)
+        results = service.execute_many(batch)
         assert [result.kind for result in results] == [request.kind for request in batch]
 
 
 class TestWarmBatch:
     def test_second_run_is_fully_cached(self):
         service = build_service()
-        executor = BatchExecutor(service, max_workers=4)
-        cold = executor.run(mixed_batch_16())
-        warm = executor.run(mixed_batch_16())
+        cold = service.execute_many(mixed_batch_16())
+        warm = service.execute_many(mixed_batch_16())
         assert all(result.cached for result in warm)
         assert [r.canonical() for r in warm] == [r.canonical() for r in cold]

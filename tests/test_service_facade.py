@@ -270,7 +270,7 @@ class TestServeBatchCLI:
             ]
         }))
         exit_code = main(["serve-batch", str(path), "--market-size", "80",
-                          "--workers", "2", "--repeat", "2"])
+                          "--repeat", "2"])
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "quantify" in output and "audit" in output
@@ -295,6 +295,6 @@ class TestServeBatchCLI:
              "min_partition_size": 3},
         ]))
         exit_code = main(["serve-batch", str(path), "--market-size", "60",
-                          "--synthetic", "60", "--serial"])
+                          "--synthetic", "60"])
         assert exit_code == 0
         assert "serial" in capsys.readouterr().out

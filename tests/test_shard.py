@@ -173,6 +173,24 @@ class TestWorkerPool:
         with pytest.raises(ServiceError, match="does not exist"):
             WorkerPool(tmp_path / "missing.json", 2)
 
+    def test_stop_during_a_restart_is_not_a_failed_boot(self, snapshot, capsys):
+        from repro.obs.metrics import get_registry
+
+        pool = WorkerPool(snapshot, 1, backoff_base_s=0.0)
+
+        def boot_aborted_by_stop(slot):
+            # What _await_port/_await_health raise once stop() is called.
+            pool._stopping.set()
+            raise ServiceError(f"worker {slot} failed to boot: the pool is stopping")
+
+        pool._boot_worker = boot_aborted_by_stop
+        incidents = get_registry().counter("fairank_worker_incidents_total")
+        before = incidents.value(slot="0", reason="failed_boot")
+        pool._restart_slot(0)
+        assert pool.restart_reasons(0)["failed_boot"] == 0
+        assert incidents.value(slot="0", reason="failed_boot") == before
+        assert "worker_boot_failed" not in capsys.readouterr().err
+
     def test_boots_and_reports_workers(self, fleet):
         pool, _, _ = fleet
         described = pool.describe()

@@ -17,6 +17,7 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.scoring.linear import LinearScoringFunction
 from repro.service import FairnessService, QuantifyRequest
+from repro.service.warmstart import WARM_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +248,23 @@ class TestServiceWarmState:
         before = _skip_count("manifest")
         assert _service().load_warm_state(tmp_path) == {"stores": 0, "results": 0}
         assert _skip_count("manifest") == before + 1
+
+    def test_version_1_bundle_is_skipped_not_loaded(self, tmp_path):
+        # Version-1 result-cache keys predate the canonical-JSON request
+        # keys; loading them would only fill the cache with dead entries.
+        warm = _service()
+        warm.execute(_REQUEST)
+        warm.save_warm_state(tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert manifest["version"] == WARM_VERSION == 2
+        manifest["version"] = 1
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        before = _skip_count("manifest")
+        cold = _service()
+        assert cold.load_warm_state(tmp_path) == {"stores": 0, "results": 0}
+        assert _skip_count("manifest") == before + 1
+        assert cold.execute(_REQUEST).cached is False
 
     def test_load_reports_bytes_restored(self, tmp_path):
         warm = _service()
