@@ -42,9 +42,9 @@ SELFTEST_CASES: Dict[str, Tuple[str, str]] = {
     ),
     "FL002": (
         "repro/core/hot.py",
-        "def total(dataset):\n"
+        "def total(partition):\n"
         "    value = 0.0\n"
-        "    for row in dataset.iter_rows():\n"
+        "    for row in partition.members.iter_rows():\n"
         "        value += row['score']\n"
         "    return value\n",
     ),

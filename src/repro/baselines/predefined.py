@@ -106,9 +106,9 @@ def predefined_groups_baseline(
     """
     from repro.core.partition import Partition
 
-    partitions = []
-    for label, uids in groups.items():
-        members = dataset.select_uids(uids)
-        partitions.append(Partition(constraints=(("group", label),), members=members))
+    partitions = [
+        Partition(constraints=(("group", label),), root=dataset, indices=dataset.positions(uids))
+        for label, uids in groups.items()
+    ]
     partitioning = Partitioning(dataset, partitions)
     return partitioning, unfairness(partitioning, function, formulation)

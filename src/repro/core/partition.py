@@ -11,28 +11,34 @@ aggregation of pairwise distances between the partitions' score histograms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.dataset import Dataset
+from repro.core.scorestore import ScoreStore, store_for
+from repro.data.dataset import Dataset, order_values
 from repro.errors import PartitioningError
-from repro.metrics.histogram import Binning, Histogram, build_histogram
-from repro.scoring.base import ScoringFunction, frozen_scores
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.core.scorestore import ScoreStore
+from repro.metrics.histogram import Binning, Histogram
+from repro.scoring.base import ScoringFunction
 
 __all__ = ["Partition", "Partitioning", "split_partition", "root_partition"]
 
-#: Per-partition score memo bound: a partition rarely sees more than a couple
-#: of distinct scoring functions in one session (the function under audit plus
-#: a rank-derived variant); a small bound keeps weight sweeps from pinning
-#: dozens of throwaway functions in memory.
-_SCORE_MEMO_SLOTS = 4
+
+def _index_array(indices: Iterable[int], rows: int) -> np.ndarray:
+    """``indices`` as a sorted, duplicate-free, read-only ``intp`` array in ``[0, rows)``."""
+    array = np.array(indices, dtype=np.intp).reshape(-1)
+    if array.size and (
+        array[0] < 0 or array[-1] >= rows or bool(np.any(np.diff(array) <= 0))
+    ):
+        raise PartitioningError(
+            f"partition indices must be strictly increasing row positions in [0, {rows})"
+        )
+    array.setflags(write=False)
+    return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """A group of individuals defined by protected-attribute constraints.
 
@@ -41,15 +47,22 @@ class Partition:
     constraints:
         Ordered tuple of ``(attribute, value)`` pairs that every member
         satisfies.  The root partition (everyone) has no constraints.
-    members:
-        The sub-dataset of individuals in this partition.
+    root:
+        The population the partition is drawn from.
+    indices:
+        The members' row positions in ``root``: a sorted, read-only integer
+        array.  Scores, histograms and splits are all index operations over
+        the root, so a partition never copies rows; :attr:`members` and
+        :attr:`uids` are derived on demand for presentation callers.
     """
 
     constraints: Tuple[Tuple[str, object], ...]
-    members: Dataset
+    root: Dataset
+    indices: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        object.__setattr__(self, "indices", _index_array(self.indices, len(self.root)))
         names = [name for name, _ in self.constraints]
         if len(set(names)) != len(names):
             raise PartitioningError(
@@ -81,11 +94,20 @@ class Partition:
     @property
     def size(self) -> int:
         """Number of individuals in the partition."""
-        return len(self.members)
+        return len(self.indices)
 
     @property
     def uids(self) -> Tuple[str, ...]:
-        return self.members.uids
+        """Member ids in row order."""
+        uids = self.root.uids
+        return tuple(uids[index] for index in self.indices.tolist())
+
+    @property
+    def members(self) -> Dataset:
+        """The members as a dataset of their own (for presentation callers)."""
+        if self.size == len(self.root):
+            return self.root
+        return self.root.subset(self.indices, name=f"{self.root.name}/{self.label}")
 
     @property
     def constrained_attributes(self) -> Tuple[str, ...]:
@@ -101,106 +123,88 @@ class Partition:
     # -- scores -------------------------------------------------------------
 
     def scores(
-        self, function: ScoringFunction, store: Optional["ScoreStore"] = None
+        self, function: ScoringFunction, store: Optional[ScoreStore] = None
     ) -> np.ndarray:
-        """Scores of the partition's members under ``function``.
+        """Read-only scores of the members under ``function``, in row order.
 
-        With a :class:`~repro.core.scorestore.ScoreStore` the scores are
-        sliced from the store's materialized vector.  Without one, the result
-        is memoised per function object on the partition itself, so the
-        session layer's Node boxes (statistics + histogram + rendering) score
-        each partition once instead of once per box.  Either way the returned
-        array is read-only — every caller shares one vector.
+        Sliced from the root's score vector in ``store`` when it serves this
+        root and function, else in the store core keeps for them (see
+        :func:`~repro.core.scorestore.store_for`).
         """
-        if store is not None and store.serves(function):
-            return store.scores(self)
-        memo: Optional[Dict[ScoringFunction, np.ndarray]] = getattr(self, "_score_memo", None)
-        if memo is not None:
-            cached = memo.get(function)
-            if cached is not None:
-                return cached
-        values = frozen_scores(function, self.members)
-        # Copy-and-swap keeps concurrent readers safe: the memo dict is never
-        # mutated in place, only atomically replaced.
-        updated = dict(memo) if memo is not None else {}
-        updated[function] = values
-        while len(updated) > _SCORE_MEMO_SLOTS:
-            updated.pop(next(iter(updated)))
-        object.__setattr__(self, "_score_memo", updated)
-        return values
+        return store_for(self.root, function, store).scores(self)
 
     def histogram(
         self,
         function: ScoringFunction,
         binning: Optional[Binning] = None,
-        store: Optional["ScoreStore"] = None,
+        store: Optional[ScoreStore] = None,
     ) -> Histogram:
         """Score histogram of the partition's members (Definition 2's ``h(p, f)``)."""
-        if store is not None and store.serves(function):
-            return store.histogram(self, binning=binning)
-        return build_histogram(self.scores(function), binning=binning)
+        return store_for(self.root, function, store).histogram(self, binning=binning)
 
     def statistics(
-        self, function: ScoringFunction, store: Optional["ScoreStore"] = None
+        self, function: ScoringFunction, store: Optional[ScoreStore] = None
     ) -> Dict[str, float]:
         """Summary statistics shown in the session layer's Node box."""
-        if store is not None and store.serves(function):
-            return store.statistics(self)
-        values = self.scores(function)
-        if values.size == 0:
-            return {"size": 0, "mean": 0.0, "min": 0.0, "max": 0.0, "std": 0.0}
-        return {
-            "size": int(values.size),
-            "mean": float(values.mean()),
-            "min": float(values.min()),
-            "max": float(values.max()),
-            "std": float(values.std()),
-        }
+        return store_for(self.root, function, store).statistics(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Partition({self.label!r}, n={self.size})"
 
 
+def _child(
+    constraints: Tuple[Tuple[str, object], ...], root: Dataset, indices: np.ndarray
+) -> Partition:
+    """Trusted construction: ``indices`` is a read-only slice of a valid parent's."""
+    child = object.__new__(Partition)
+    object.__setattr__(child, "constraints", constraints)
+    object.__setattr__(child, "root", root)
+    object.__setattr__(child, "indices", indices)
+    return child
+
+
+@lru_cache(maxsize=16)
+def _full_range(rows: int) -> np.ndarray:
+    """The read-only indices of a whole root, shared by every root partition of that size.
+
+    Cached results hold their tree's root partition, so one array per size
+    (not one per search) keeps a large population's result cache small.
+    """
+    indices = np.arange(rows, dtype=np.intp)
+    indices.setflags(write=False)
+    return indices
+
+
 def root_partition(dataset: Dataset) -> Partition:
     """The trivial partition containing every individual of ``dataset``."""
-    return Partition(constraints=(), members=dataset)
+    return _child((), dataset, _full_range(len(dataset)))
 
 
-def split_partition(
-    partition: Partition, attribute: str, store: Optional["ScoreStore"] = None
-) -> Tuple[Partition, ...]:
+def split_partition(partition: Partition, attribute: str) -> Tuple[Partition, ...]:
     """Split a partition into one child per distinct value of ``attribute``.
 
     Children are ordered by the attribute's declared domain order when
     available (falling back to a stable sorted order), matching the paper's
     decision-tree-style splits.  Only values present among the members yield
-    children, so no child is ever empty.
-
-    With a :class:`~repro.core.scorestore.ScoreStore` the split is performed
-    over the store's integer-coded columns and row indices (same children, in
-    the same order, with lazily materialised members) instead of a Python
-    group-by — the store falls back to this path for unmappable partitions.
+    children, so no child is ever empty.  The split is an index operation
+    over the root's integer-coded column (:meth:`Dataset.codes`).
     """
-    schema = partition.members.schema
-    attr = schema.require_protected(attribute)
+    root = partition.root
+    attr = root.schema.require_protected(attribute)
     if attribute in partition.constrained_attributes:
         raise PartitioningError(
             f"partition {partition.label!r} already constrains {attribute!r}"
         )
-    if store is not None:
-        children = store.split(partition, attr)
-        if children is not None:
-            return children
-    groups = partition.members.group_by([attribute])
-    ordered_values: List[object] = list(partition.members.distinct_values(attribute))
-    children = []
-    for value in ordered_values:
-        members = groups[(value,)]
+    codes, decode, encode = root.codes(attribute)
+    indices = partition.indices
+    sub = codes[indices]
+    present = np.bincount(sub, minlength=len(decode))
+    children: List[Partition] = []
+    for value in order_values(attr, (v for code, v in enumerate(decode) if present[code])):
+        child_indices = indices[sub == encode[value]]
+        child_indices.setflags(write=False)
         children.append(
-            Partition(
-                constraints=partition.constraints + ((attr.name, value),),
-                members=members,
-            )
+            _child(partition.constraints + ((attr.name, value),), root, child_indices)
         )
     return tuple(children)
 
@@ -228,23 +232,36 @@ class Partitioning:
     def _validate(self) -> None:
         if not self.partitions:
             raise PartitioningError("a partitioning must contain at least one partition")
-        seen: Dict[str, str] = {}
         for partition in self.partitions:
+            if partition.root is not self.dataset:
+                raise PartitioningError(
+                    f"partition {partition.label!r} is drawn from another dataset"
+                )
             if partition.size == 0:
                 raise PartitioningError(f"partition {partition.label!r} is empty")
-            label = partition.label
-            for uid in partition.uids:
-                if uid in seen:
-                    raise PartitioningError(
-                        f"individual {uid!r} appears in both {seen[uid]!r} and "
-                        f"{label!r}; partitions must be disjoint"
-                    )
-                seen[uid] = label
-        missing = set(self.dataset.uids) - set(seen)
-        if missing:
+        counts = np.bincount(
+            np.concatenate([partition.indices for partition in self.partitions]),
+            minlength=len(self.dataset),
+        )
+        overlap = np.flatnonzero(counts > 1)
+        if overlap.size:
+            row = int(overlap[0])
+            first, second = [
+                partition.label
+                for partition in self.partitions
+                if row in partition.indices
+            ][:2]
+            raise PartitioningError(
+                f"individual {self.dataset.uids[row]!r} appears in both {first!r} and "
+                f"{second!r}; partitions must be disjoint"
+            )
+        missing = np.flatnonzero(counts == 0)
+        if missing.size:
+            uids = self.dataset.uids
             raise PartitioningError(
                 f"partitioning does not cover the whole population; missing ids: "
-                f"{sorted(missing)[:5]}{'...' if len(missing) > 5 else ''}"
+                f"{sorted(uids[row] for row in missing.tolist())[:5]}"
+                f"{'...' if missing.size > 5 else ''}"
             )
 
     # -- protocol ------------------------------------------------------------
@@ -305,18 +322,15 @@ class Partitioning:
         self,
         function: ScoringFunction,
         binning: Optional[Binning] = None,
-        store: Optional["ScoreStore"] = None,
+        store: Optional[ScoreStore] = None,
     ) -> Tuple[Histogram, ...]:
         """Score histogram of every partition, over a shared binning.
 
-        Routed through each partition's cached score vector (or the given
-        :class:`~repro.core.scorestore.ScoreStore`), so repeated histogram
-        requests never trigger extra scoring passes.
+        Served by one score store over the partitioning's dataset, so
+        repeated histogram requests never trigger extra scoring passes.
         """
-        return tuple(
-            partition.histogram(function, binning=binning, store=store)
-            for partition in self.partitions
-        )
+        served = store_for(self.dataset, function, store)
+        return tuple(served.histogram(partition, binning=binning) for partition in self.partitions)
 
     def group_sizes(self) -> Dict[str, int]:
         """Mapping of partition label -> number of members."""
@@ -333,16 +347,15 @@ class Partitioning:
 
         This is the "pre-defined groups" construction of prior work (and the
         finest tree-structured partitioning over those attributes): one
-        partition per observed combination of values.
+        partition per observed combination of values, nested in the order of
+        ``attributes`` and each attribute's value order.
         """
         dataset.require_non_empty()
         for attribute in attributes:
             dataset.schema.require_protected(attribute)
-        if not attributes:
-            return cls.single(dataset)
-        groups = dataset.group_by(list(attributes))
-        partitions = []
-        for key, members in groups.items():
-            constraints = tuple(zip(attributes, key))
-            partitions.append(Partition(constraints=constraints, members=members))
-        return cls(dataset, partitions)
+        partitions = [root_partition(dataset)]
+        for attribute in attributes:
+            partitions = [
+                child for partition in partitions for child in split_partition(partition, attribute)
+            ]
+        return cls(dataset, partitions, validate=False)

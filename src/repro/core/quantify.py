@@ -28,7 +28,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD, resolve_binning
 from repro.core.partition import Partition, Partitioning, root_partition, split_partition
-from repro.core.scorestore import ScoreStore
+from repro.core.scorestore import ScoreStore, store_for
 from repro.core.tree import PartitionNode, PartitionTree
 from repro.core.unfairness import pairwise_distances, unfairness
 from repro.data.dataset import Dataset
@@ -87,81 +87,6 @@ class _SplitCounter:
         self.count += amount
 
 
-def _candidate_splits(
-    partition: Partition,
-    attributes: Sequence[str],
-    min_partition_size: int = 1,
-    store: Optional[ScoreStore] = None,
-) -> Dict[str, Tuple[Partition, ...]]:
-    """Single-attribute splits of ``partition`` with >= 2 admissible children.
-
-    A split is admissible when every child keeps at least
-    ``min_partition_size`` members, so the search never considers splits it
-    would have to reject later.
-    """
-    candidates: Dict[str, Tuple[Partition, ...]] = {}
-    for attribute in attributes:
-        children = split_partition(partition, attribute, store=store)
-        if len(children) < 2:
-            continue
-        if any(child.size < min_partition_size for child in children):
-            continue
-        candidates[attribute] = children
-    return candidates
-
-
-def _candidate_histograms(
-    partition: Partition,
-    attributes: Sequence[str],
-    function: ScoringFunction,
-    binning,
-    min_partition_size: int,
-    store: Optional[ScoreStore],
-) -> Tuple[Dict[str, Tuple[Histogram, ...]], Dict[str, Tuple[Partition, ...]]]:
-    """Admissible candidate splits as histogram batches, one per attribute.
-
-    Returns ``(histograms per attribute, materialised children per
-    attribute)``.  With a store that can map the partition, candidates are
-    evaluated without materialising child partitions (the children mapping
-    stays empty and the winner is materialised later by the caller); in every
-    other case the children are built eagerly and their histograms derived
-    from them — bit-identical either way.  Admissibility (>= 2 children,
-    every child at least ``min_partition_size``) and the error on an
-    already-constrained attribute are shared by both modes.
-    """
-    histograms: Dict[str, Tuple[Histogram, ...]] = {}
-    children_of: Dict[str, Tuple[Partition, ...]] = {}
-    if store is not None:
-        schema = partition.members.schema
-        evaluated: Optional[Dict[str, Tuple[Histogram, ...]]] = {}
-        for attribute in attributes:
-            attr = schema.require_protected(attribute)
-            if attribute in partition.constrained_attributes:
-                raise PartitioningError(
-                    f"partition {partition.label!r} already constrains {attribute!r}"
-                )
-            candidate = store.candidate_split(partition, attr, binning)
-            if candidate is None:
-                # Unmappable partition: fall back to the materialising mode.
-                evaluated = None
-                break
-            values, sizes, batch = candidate
-            if len(values) < 2 or any(size < min_partition_size for size in sizes):
-                continue
-            assert evaluated is not None
-            evaluated[attribute] = batch
-        if evaluated is not None:
-            return evaluated, children_of
-    for attribute, children in _candidate_splits(
-        partition, attributes, min_partition_size, store=store
-    ).items():
-        children_of[attribute] = children
-        histograms[attribute] = tuple(
-            child.histogram(function, binning=binning, store=store) for child in children
-        )
-    return histograms, children_of
-
-
 def most_unfair_attribute(
     partition: Partition,
     function: ScoringFunction,
@@ -179,18 +104,19 @@ def most_unfair_attribute(
     the overall partitioning would exhibit locally if the split were applied.
     Returns ``(attribute, children, score)`` or ``None`` when no attribute
     can split the partition into two or more children of at least
-    ``min_partition_size`` members.  A :class:`~repro.core.scorestore.ScoreStore`
-    serves every candidate's histograms from materialized scores, and only
-    the winning attribute's children are ever materialised.
+    ``min_partition_size`` members.  Every candidate is evaluated by the
+    score store as a histogram batch (see
+    :meth:`~repro.core.scorestore.ScoreStore.candidate_split`); only the
+    winning attribute is split into partitions, pre-seeded with its batch.
     """
     binning = resolve_binning(formulation)
-    if store is not None and not store.serves(function):
-        # A store built for a different function must never answer for this
-        # one; fall back to direct scoring rather than serve wrong numbers.
-        store = None
-    evaluated, children_of = _candidate_histograms(
-        partition, attributes, function, binning, min_partition_size, store
-    )
+    store = store_for(partition.root, function, store)
+    evaluated: Dict[str, Tuple[Histogram, ...]] = {}
+    for attribute in attributes:
+        values, sizes, batch = store.candidate_split(partition, attribute, binning)
+        # Admissible: >= 2 children, every child at least min_partition_size.
+        if len(values) >= 2 and all(size >= min_partition_size for size in sizes):
+            evaluated[attribute] = batch
     if not evaluated:
         return None
 
@@ -205,9 +131,8 @@ def most_unfair_attribute(
         if best_attribute is None or formulation.is_better(score, best_score):
             best_attribute, best_score = attribute, score
     assert best_attribute is not None
-    children = children_of.get(best_attribute)
-    if children is None:
-        children = split_partition(partition, best_attribute, store=store)
+    children = split_partition(partition, best_attribute)
+    store.seed(children, binning, evaluated[best_attribute])
     return (best_attribute, children, best_score)
 
 
@@ -221,7 +146,7 @@ def _quantify_node(
     max_depth: Optional[int],
     min_partition_size: int,
     depth: int,
-    store: Optional[ScoreStore] = None,
+    store: ScoreStore,
 ) -> None:
     """Recursive body of Algorithm 1, growing the tree in place."""
     binning = resolve_binning(formulation)
@@ -235,7 +160,7 @@ def _quantify_node(
         # Splitting cannot yield two children of at least min_partition_size.
         return
 
-    current_histogram = partition.histogram(function, binning=binning, store=store)
+    current_histogram = store.histogram(partition, binning)
     # currentAvg (Algorithm 1, line 4): the unfairness the local partitioning
     # {current} ∪ siblings exhibits, i.e. the aggregated pairwise distance
     # over that set of histograms.
@@ -260,9 +185,7 @@ def _quantify_node(
 
     # childrenAvg (Algorithm 1, line 8): the unfairness the local partitioning
     # would exhibit if current were replaced by its children.
-    child_histograms = [
-        child.histogram(function, binning=binning, store=store) for child in children
-    ]
+    child_histograms = [store.histogram(child, binning) for child in children]
     children_value = formulation.aggregate(
         pairwise_distances(child_histograms + list(sibling_histograms), formulation)
     )
@@ -304,7 +227,6 @@ def quantify(
     min_partition_size: int = 1,
     *,
     store: Optional[ScoreStore] = None,
-    materialize: bool = True,
 ) -> QuantifyResult:
     """Run the greedy QUANTIFY search (Algorithm 1) end to end.
 
@@ -327,14 +249,12 @@ def quantify(
         be considered (1 reproduces the paper exactly; larger values avoid
         singleton groups on large noisy datasets).
     store:
-        Optional :class:`~repro.core.scorestore.ScoreStore` to serve scores
-        and histograms from.  Pass the service layer's store to share one
-        scoring pass across requests over the same (dataset, function).
-    materialize:
-        When True (default) and no ``store`` is given, a private store is
-        created so the search scores each individual exactly once.  Set to
-        False to force the direct re-scoring path (the pre-materialization
-        behaviour, kept for benchmarking and debugging).
+        Optional :class:`~repro.core.scorestore.ScoreStore` to share.  Pass
+        the service layer's store to share one scoring pass across requests
+        over the same (dataset, function) content; without one (or with a
+        store for other content) the search uses the store core keeps for
+        this dataset and function (:func:`~repro.core.scorestore.store_for`).
+        Either way each individual is scored once.
 
     Returns
     -------
@@ -354,12 +274,11 @@ def quantify(
         raise PartitioningError("QUANTIFY needs at least one protected attribute to split on")
 
     counter = _SplitCounter()
-    root = PartitionNode(partition=root_partition(dataset))
+    store = store_for(dataset, function, store)
+    # A served root is the store's own dataset or content-identical to it,
+    # so the search runs over the store's dataset: nothing is remapped.
+    root = PartitionNode(partition=root_partition(store.dataset))
     binning = resolve_binning(formulation)
-    if store is not None and not store.serves(function):
-        store = None  # built for a different function: never serve its scores
-    if store is None and materialize:
-        store = ScoreStore(dataset, function)
 
     # First invocation (paper §3.2): split the whole population on the most
     # unfair attribute, then run the recursive procedure once per resulting
@@ -379,9 +298,7 @@ def quantify(
         root.split_attribute = attribute
         remaining = tuple(a for a in attributes if a != attribute)
         child_nodes = [root.add_child(PartitionNode(partition=child)) for child in children]
-        child_histograms = [
-            child.histogram(function, binning=binning, store=store) for child in children
-        ]
+        child_histograms = [store.histogram(child, binning) for child in children]
         for index, child_node in enumerate(child_nodes):
             siblings = [h for i, h in enumerate(child_histograms) if i != index]
             _quantify_node(

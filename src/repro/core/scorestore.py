@@ -3,36 +3,36 @@
 The QUANTIFY search (and everything layered on top of it — statistics boxes,
 breakdowns, audits, comparisons) repeatedly asks for the scores of *subsets*
 of one population under one scoring function: every candidate split, every
-tree node, every sibling histogram re-walks the same individuals.  The
-:class:`ScoreStore` removes that redundancy:
+tree node, every sibling histogram re-walks the same individuals.  A
+partition is an index set over its root dataset
+(:class:`~repro.core.partition.Partition`), so the :class:`ScoreStore` over
+that root answers all of it with index operations:
 
-* the **full score vector** of the store's dataset is computed exactly once
-  (one ``function.score_dataset`` pass) and every partition's scores are
-  derived from it by uid-index slicing — bit-for-bit identical to scoring the
-  partition directly, because each individual's score is a pure function of
-  its own row;
+* the **full score vector** of the root is computed exactly once (one
+  ``function.score_dataset`` pass) and every partition's scores are a slice
+  of it — bit-for-bit identical to scoring the members directly, because
+  each individual's score is a pure function of its own row;
+* **per-row bin codes** are computed once per binning, so a partition's
+  histogram is one ``bincount`` over its indices and a candidate split's
+  child histograms are one two-dimensional ``bincount`` (value code × bin
+  code) — verified bin-for-bin identical to
+  :func:`~repro.metrics.histogram.build_histogram`;
 * **histograms are memoised** keyed by ``(partition.key, binning)`` — the
   scoring function is fixed per store, and the service layer keys whole
   stores by ``(dataset fingerprint, function fingerprint)``, so the
   composite identity of a cached histogram is
   ``(dataset, function, partition, binning)`` as the paper's interactive
-  workload demands.  Counts come from one ``searchsorted`` pass over the
-  full vector per binning plus a ``bincount`` per partition, verified
-  bin-for-bin identical to :func:`~repro.metrics.histogram.build_histogram`;
-* **splits are index operations**: protected columns are integer-coded once,
-  so splitting a partition on an attribute is a vectorised comparison over
-  its row indices instead of a Python group-by, and the children's member
-  datasets materialise lazily — a losing candidate split never builds its
-  row tuples at all;
+  workload demands;
 * the memo is **bounded** (LRU over partitions) so a long-lived service
   store cannot grow without limit, and every counter needed to audit the
-  layer (scoring passes, slices, fallbacks, hits/misses/evictions) is
-  exposed as an immutable :class:`ScoreStoreStats` snapshot.
+  layer (scoring passes, slices, hits/misses/evictions) is exposed as an
+  immutable :class:`ScoreStoreStats` snapshot.
 
-A store only answers for partitions drawn from its own dataset.  Partitions
-whose members cannot be mapped onto the store's rows (e.g. an anonymised
-copy whose individuals were rewritten) fall back to direct scoring, so the
-store is always safe to pass down a pipeline.
+A store serves the partitions of its own dataset and of content-identical
+roots (equal content fingerprints: same rows in the same order, so the same
+indices), for its own function and content-identical ones.  Core never
+hands a store anything else: :func:`store_for` returns the caller's store
+when it serves, else a store from a small per-root memo.
 
 Thread safety: all mutation happens under one lock; score vectors, codes and
 histogram values are immutable once published, so concurrent readers (HTTP
@@ -46,21 +46,28 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+)
 
 import numpy as np
 
-from repro.data.dataset import Dataset, Individual, order_values
-from repro.data.schema import Attribute
-from repro.errors import FaiRankError, WarmStartError
-from repro.metrics.histogram import Binning, Histogram, build_histogram
+from repro.data.dataset import Dataset, order_values
+from repro.errors import FaiRankError, PartitioningError, WarmStartError
+from repro.metrics.histogram import Binning, Histogram
 from repro.obs.trace import span as trace_span
 from repro.scoring.base import ScoringFunction, frozen_scores
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.core.partition import Partition
 
-__all__ = ["STORE_BUNDLE_FORMAT", "STORE_BUNDLE_VERSION", "ScoreStore", "ScoreStoreStats"]
+__all__ = [
+    "STORE_BUNDLE_FORMAT",
+    "STORE_BUNDLE_VERSION",
+    "ScoreStore",
+    "ScoreStoreStats",
+    "store_for",
+]
 
 #: Identifies a persisted score-store bundle (arbitrary JSON is rejected loudly).
 STORE_BUNDLE_FORMAT = "fairank-scorestore"
@@ -73,19 +80,27 @@ STORE_BUNDLE_VERSION = 1
 #: default leaves headroom while keeping a long-lived service store bounded.
 DEFAULT_MAX_PARTITIONS = 8192
 
+#: Bound on the stores :func:`store_for` keeps for callers that pass none.
+#: A session rarely scores one population under more than a couple of
+#: functions at once (the function under audit plus a rank-derived variant);
+#: a small bound keeps weight sweeps from pinning throwaway stores.
+PRIVATE_STORE_SLOTS = 4
+
+#: Bound on the foreign roots/functions a store remembers having verified.
+_VERIFIED_SLOTS = 32
+
 
 @dataclass(frozen=True)
 class ScoreStoreStats:
     """Immutable snapshot of one store's effectiveness counters.
 
     ``scoring_passes`` counts invocations of ``function.score_dataset`` —
-    ideally exactly 1 (the materialization pass); ``fallback_scorings``
-    counts partitions that could not be sliced and were scored directly.
+    ideally exactly 1 (the materialization pass); ``sliced_partitions``
+    counts the partitions whose indices the store has registered.
     """
 
     scoring_passes: int = 0
     sliced_partitions: int = 0
-    fallback_scorings: int = 0
     histogram_hits: int = 0
     histogram_misses: int = 0
     evictions: int = 0
@@ -104,7 +119,6 @@ class ScoreStoreStats:
         return {
             "scoring_passes": self.scoring_passes,
             "sliced_partitions": self.sliced_partitions,
-            "fallback_scorings": self.fallback_scorings,
             "histogram_hits": self.histogram_hits,
             "histogram_misses": self.histogram_misses,
             "evictions": self.evictions,
@@ -114,47 +128,10 @@ class ScoreStoreStats:
     def describe(self) -> str:
         return (
             f"{self.scoring_passes} scoring pass(es), "
-            f"{self.sliced_partitions} sliced / {self.fallback_scorings} fallback, "
+            f"{self.sliced_partitions} sliced partitions, "
             f"histograms {self.histogram_hits} hits / {self.histogram_misses} misses "
             f"({self.histogram_hit_rate:.0%}), {self.evictions} evictions"
         )
-
-
-class _SlicedDataset(Dataset):
-    """A Dataset defined by row indices into a base dataset, materialised lazily.
-
-    The score store's splits produce one of these per child partition: the
-    length (all a losing candidate split ever needs) is known immediately,
-    while the actual row tuple is only built when a consumer — the final
-    partitioning's validation, a renderer, a fallback scorer — iterates it.
-    Holding the *base dataset* (not its row tuple) keeps the laziness
-    transitive: slicing a column-backed base never forces it to materialise
-    rows until a consumer iterates the slice itself.
-    """
-
-    def __init__(self, base: Dataset, indices: np.ndarray, name: str) -> None:
-        # Deliberately does not call Dataset.__init__: rows are already
-        # validated (they are the base dataset's own), and materialising the
-        # member tuple is deferred until something iterates it.
-        self.schema = base.schema
-        self.name = name
-        self._base = base
-        self._slice_indices = indices
-
-    @property
-    def _individuals(self) -> Tuple[Individual, ...]:  # type: ignore[override]
-        materialized = self.__dict__.get("_materialized")
-        if materialized is None:
-            rows = self._base.individuals
-            materialized = tuple(rows[index] for index in self._slice_indices.tolist())
-            self.__dict__["_materialized"] = materialized
-        return materialized
-
-    def __len__(self) -> int:
-        return len(self._slice_indices)
-
-    def __bool__(self) -> bool:
-        return len(self._slice_indices) > 0
 
 
 class _Entry:
@@ -166,13 +143,10 @@ class _Entry:
     with the same binning reuses the whole per-split histogram batch.
     """
 
-    __slots__ = ("indices", "owner", "scores", "histograms", "candidates", "bin_slices")
+    __slots__ = ("indices", "scores", "histograms", "candidates", "bin_slices")
 
-    def __init__(self, indices: Optional[np.ndarray], owner: Optional[Dataset] = None) -> None:
+    def __init__(self, indices: np.ndarray) -> None:
         self.indices = indices
-        # For fallback entries (indices None) the exact members object the
-        # entry answers for; mapped entries are validated via their indices.
-        self.owner = owner
         self.scores: Optional[np.ndarray] = None
         self.histograms: Dict[Binning, Histogram] = {}
         self.candidates: Dict[
@@ -182,6 +156,18 @@ class _Entry:
         # binning -> this partition's slice of the per-row bin codes, shared
         # by every candidate attribute evaluated at this node.
         self.bin_slices: Dict[Binning, np.ndarray] = {}
+
+
+def _dataset_fingerprint(dataset: object) -> str:
+    from repro.service.fingerprint import fingerprint_dataset
+
+    return fingerprint_dataset(dataset)  # type: ignore[arg-type]
+
+
+def _function_fingerprint(function: object) -> str:
+    from repro.service.fingerprint import fingerprint_function
+
+    return fingerprint_function(function)  # type: ignore[arg-type]
 
 
 def _binning_to_json(binning: Binning) -> Dict[str, object]:
@@ -239,20 +225,16 @@ class ScoreStore:
     Parameters
     ----------
     dataset:
-        The root population.  Every partition handed to the store should be
-        drawn from this dataset (subsets produced by splitting/filtering it).
+        The root population.  The store serves partitions drawn from it (or
+        from a content-identical root).
     function:
         The scoring function whose scores are materialized.
     max_partitions:
         LRU bound on the number of distinct partitions whose indices, scores
         and histograms are memoised; ``None`` disables the bound.
     trust_uids:
-        When False (default), a partition is sliced only if its member
-        *objects* are the store dataset's own rows — the safe setting for
-        ad-hoc stores.  The service layer keys stores by content fingerprint
-        and sets True, so content-identical datasets rebuilt between
-        requests (re-filtered copies, re-parsed uploads) still share one
-        scoring pass via uid mapping.
+        Accepted for compatibility and ignored: partitions carry row indices
+        over their root, so there is no uid mapping left to trust.
     """
 
     def __init__(
@@ -260,66 +242,59 @@ class ScoreStore:
         dataset: Dataset,
         function: ScoringFunction,
         max_partitions: Optional[int] = DEFAULT_MAX_PARTITIONS,
-        trust_uids: bool = False,
+        trust_uids: bool = True,
     ) -> None:
         if max_partitions is not None and max_partitions < 1:
             raise ValueError(f"max_partitions must be >= 1, got {max_partitions}")
         self.dataset = dataset
         self.function = function
         self.max_partitions = max_partitions
-        self.trust_uids = trust_uids
         self._lock = threading.RLock()
         self._vector: Optional[np.ndarray] = None
-        self._row_index: Optional[Dict[str, int]] = None
         self._partitions: "OrderedDict[object, _Entry]" = OrderedDict()
-        # attribute name -> (per-row codes, code -> value, value -> code,
-        # code -> member-dataset name suffix); see _attribute_codes.
-        self._codes: Dict[
-            str, Tuple[np.ndarray, Tuple[object, ...], Dict[object, int], Tuple[str, ...]]
-        ] = {}
         # attribute name -> canonical full ordering of its values
         self._ordered: Dict[str, Tuple[object, ...]] = {}
         # binning -> per-row bin index (for bincount-based histograms)
         self._bin_codes: Dict[Binning, np.ndarray] = {}
+        # Foreign roots and functions already checked for content equality.
+        self._verified: "OrderedDict[object, bool]" = OrderedDict()
         self._scoring_passes = 0
         self._sliced_partitions = 0
-        self._fallback_scorings = 0
         self._histogram_hits = 0
         self._histogram_misses = 0
         self._evictions = 0
-        # Functions (beyond self.function) verified fingerprint-equal, so
-        # repeated serves() checks are an identity lookup.
-        self._accepted_functions: Dict[ScoringFunction, bool] = {}
-        self._own_fingerprint: Optional[str] = None
 
-    def serves(self, function: ScoringFunction) -> bool:
-        """Whether this store's materialized scores are valid for ``function``.
+    def serves(self, dataset: Dataset, function: ScoringFunction) -> bool:
+        """Whether this store answers for partitions of ``dataset`` under ``function``.
 
-        True for the store's own function object, and for distinct objects
-        that prove content equality via the ``fingerprint()`` protocol (the
-        service pool hands out stores keyed by fingerprint, so a rebuilt but
-        identical scorer must still be served).  Callers that receive False
-        fall back to direct scoring — sharing a store across *different*
-        functions must never silently serve the wrong scores.
+        True for the store's own objects and for distinct objects with equal
+        content fingerprints (the service pool hands out stores keyed by
+        fingerprint, so a rebuilt but identical population or scorer is
+        served without remapping anything).
         """
-        if function is self.function:
+        return self._same_root(dataset) and self._same_content(
+            function, self.function, _function_fingerprint
+        )
+
+    def _same_root(self, dataset: Dataset) -> bool:
+        return len(dataset) == len(self.dataset) and self._same_content(
+            dataset, self.dataset, _dataset_fingerprint
+        )
+
+    def _same_content(
+        self, other: object, own: object, fingerprint: Callable[[object], str]
+    ) -> bool:
+        if other is own:
             return True
         with self._lock:
-            accepted = self._accepted_functions.get(function)
-        if accepted is not None:
-            return accepted
-        try:
-            own = self._own_fingerprint
-            if own is None:
-                own = str(self.function.fingerprint())
-            matches = str(function.fingerprint()) == own
-        except NotImplementedError:
-            return False
+            known = self._verified.get(other)
+        if known is not None:
+            return known
+        matches = fingerprint(other) == fingerprint(own)
         with self._lock:
-            self._own_fingerprint = own
-            if len(self._accepted_functions) >= 16:
-                self._accepted_functions.pop(next(iter(self._accepted_functions)))
-            self._accepted_functions[function] = matches
+            self._verified[other] = matches
+            while len(self._verified) > _VERIFIED_SLOTS:
+                self._verified.popitem(last=False)
         return matches
 
     # -- the materialized vector ----------------------------------------------
@@ -343,63 +318,19 @@ class ScoreStore:
                 self._scoring_passes += 1
             return self._vector
 
-    def _row_index_map(self) -> Dict[str, int]:
-        """uid -> row position, built lazily (only uid-mapped partitions need it).
-
-        Built from ``dataset.uids``, which a column-backed dataset serves
-        without materialising rows.
-        """
-        index = self._row_index
-        if index is not None:
-            return index
-        with self._lock:
-            if self._row_index is None:
-                self._row_index = {
-                    uid: position for position, uid in enumerate(self.dataset.uids)
-                }
-            return self._row_index
-
-    def _indices_for(self, partition: "Partition") -> Optional[np.ndarray]:
-        """Row indices of the partition's members, or None if unmappable."""
-        return self._indices_for_members(partition.members)
-
-    def _indices_for_members(self, members: Dataset) -> Optional[np.ndarray]:
-        if members is self.dataset:
-            return np.arange(len(self.dataset), dtype=np.intp)
-        if isinstance(members, _SlicedDataset) and members._base is self.dataset:
-            return members._slice_indices
-        row_index = self._row_index_map()
-        # Identity verification (trust_uids=False) needs the actual row
-        # objects; trusted stores map by uid alone, so a column-backed
-        # dataset stays unmaterialised.
-        rows = None if self.trust_uids else self.dataset.individuals
-        indices = np.empty(len(members), dtype=np.intp)
-        for position, member in enumerate(members):
-            index = row_index.get(member.uid)
-            if index is None:
-                return None
-            if rows is not None and rows[index] is not member:
-                return None
-            indices[position] = index
-        return indices
-
     # -- partition-level access -------------------------------------------------
 
     def scores(self, partition: "Partition") -> np.ndarray:
         """Scores of the partition's members, sliced from the full vector.
 
-        Bit-for-bit identical to ``partition.members`` scored directly.  A
-        partition that cannot be mapped onto the store's rows is scored
-        directly (counted as a fallback) so callers never need to care.
+        Bit-for-bit identical to scoring ``partition.members`` directly.
         """
         vector = self.vector()
         entry = self._entry(partition)
         with self._lock:
             values = entry.scores
             if values is None:
-                if entry.indices is None:
-                    values = frozen_scores(self.function, partition.members)
-                elif partition.members is self.dataset:
+                if entry.indices.size == vector.size:
                     values = vector  # the root partition: the full vector itself
                 else:
                     values = vector[entry.indices]
@@ -425,20 +356,34 @@ class ScoreStore:
                 self._histogram_hits += 1
                 return cached
             self._histogram_misses += 1
-        if entry.indices is None:
-            histogram = build_histogram(self.scores(partition), binning=binning)
-        else:
-            codes = self._bin_codes_for(binning)
-            # minlength covers the NaN sentinel bin; the slice discards it.
-            counts = np.bincount(codes[entry.indices], minlength=binning.bins)
-            histogram = Histogram(
-                binning=binning, counts=tuple(int(c) for c in counts[: binning.bins])
-            )
+        codes = self._bin_codes_for(binning)
+        # minlength covers the NaN sentinel bin; the slice discards it.
+        counts = np.bincount(codes[entry.indices], minlength=binning.bins)
+        histogram = Histogram(
+            binning=binning, counts=tuple(int(c) for c in counts[: binning.bins])
+        )
         with self._lock:
             return entry.histograms.setdefault(binning, histogram)
 
+    def seed(
+        self,
+        partitions: Sequence["Partition"],
+        binning: Binning,
+        histograms: Sequence[Histogram],
+    ) -> None:
+        """Memoise already-computed histograms for ``partitions``.
+
+        The greedy search seeds the winning split's children with the batch
+        :meth:`candidate_split` produced for them, so those histograms are
+        never recomputed.
+        """
+        for partition, histogram in zip(partitions, histograms):
+            entry = self._entry(partition)
+            with self._lock:
+                entry.histograms.setdefault(binning, histogram)
+
     def statistics(self, partition: "Partition") -> Dict[str, float]:
-        """Summary statistics of the partition (mirrors ``Partition.statistics``)."""
+        """Summary statistics of the partition's scores (the Node box)."""
         values = self.scores(partition)
         if values.size == 0:
             return {"size": 0, "mean": 0.0, "min": 0.0, "max": 0.0, "std": 0.0}
@@ -450,34 +395,36 @@ class ScoreStore:
             "std": float(values.std()),
         }
 
-    # -- index-based splitting ---------------------------------------------------
+    # -- candidate splits --------------------------------------------------------
 
     def candidate_split(
-        self, partition: "Partition", attr: Attribute, binning: Binning
-    ) -> Optional[Tuple[Tuple[object, ...], Tuple[int, ...], Tuple[Histogram, ...]]]:
-        """Evaluate splitting ``partition`` on ``attr`` without materialising it.
+        self, partition: "Partition", attribute: str, binning: Binning
+    ) -> Tuple[Tuple[object, ...], Tuple[int, ...], Tuple[Histogram, ...]]:
+        """Evaluate splitting ``partition`` on ``attribute`` without building it.
 
         Returns ``(ordered child values, child sizes, child histograms)`` —
-        everything the greedy search needs to *score* a candidate split — or
-        None when the partition cannot be mapped onto the store's rows.  The
+        everything the greedy search needs to *score* a candidate split, in
+        :func:`~repro.core.partition.split_partition`'s child order.  The
         histograms come from one two-dimensional ``bincount`` over the
         partition's rows (value code × bin code), bit-identical to building
         each child and histogramming it, but with no per-child Python work;
-        only the winning attribute ever becomes real :class:`Partition`
-        objects (via :meth:`split`).  Results are memoised per
-        ``(partition, attribute, binning)``.
+        only the winning attribute is ever split into real partitions.
+        Results are memoised per ``(partition, attribute, binning)``.
         """
+        attr = self.dataset.schema.require_protected(attribute)
+        if attribute in partition.constrained_attributes:
+            raise PartitioningError(
+                f"partition {partition.label!r} already constrains {attribute!r}"
+            )
         entry = self._entry(partition)
         indices = entry.indices
-        if indices is None:
-            return None
-        memo_key = (attr.name, binning)
+        memo_key = (attribute, binning)
         with self._lock:
             cached = entry.candidates.get(memo_key)
             if cached is not None:
                 self._histogram_hits += len(cached[2])
                 return cached
-        codes, decode, encode, _ = self._attribute_codes(attr.name)
+        codes, decode, encode = self.dataset.codes(attribute)
         ordered_all = self._ordered_values(attr)
         # Stride bins + 1: bin codes include the NaN sentinel ``bins``, which
         # must not spill into the next value's bin 0.
@@ -512,99 +459,16 @@ class ScoreStore:
             self._histogram_misses += len(result[2])
             return result
 
-    def split(self, partition: "Partition", attr: Attribute) -> Optional[Tuple["Partition", ...]]:
-        """Children of ``partition`` split on ``attr``, via index operations.
-
-        Returns None when the partition cannot be mapped onto the store's
-        rows (the caller then falls back to the group-by path).  Children are
-        produced in the same order as :func:`~repro.core.partition.split_partition`
-        (declared domain order, else stable sorted), their member datasets
-        materialise lazily, and their store entries are pre-registered so the
-        subsequent histogram/score requests skip uid mapping entirely.
-        """
-        from repro.core.partition import Partition
-
-        entry = self._entry(partition)
-        indices = entry.indices
-        if indices is None:
-            return None
-        codes, decode, encode, suffixes = self._attribute_codes(attr.name)
-        sub = codes[indices]
-        present = {decode[code] for code in np.unique(sub).tolist()}
-        ordered = tuple(v for v in self._ordered_values(attr) if v in present)
-        children: List[Partition] = []
-        entries: List[Tuple[object, np.ndarray]] = []
-        base_name = partition.members.name
-        constraints = partition.constraints
-        attr_name = attr.name
-        for value in ordered:
-            code = encode[value]
-            child_indices = indices[sub == code]
-            members = _SlicedDataset(
-                self.dataset, child_indices, name=base_name + suffixes[code]
-            )
-            # Fast construction: the dataclass __init__/__post_init__ only
-            # normalises and validates the constraints, which hold here by
-            # construction (the parent was valid and attr is new).
-            child = object.__new__(Partition)
-            object.__setattr__(child, "constraints", constraints + ((attr_name, value),))
-            object.__setattr__(child, "members", members)
-            children.append(child)
-            entries.append((child.key, child_indices))
-        with self._lock:
-            partitions = self._partitions
-            new_entries: List[_Entry] = []
-            for (key, child_indices), child in zip(entries, children):
-                child_entry = partitions.get(key)
-                if child_entry is None or not self._entry_matches(child_entry, child.members):
-                    child_entry = _Entry(child_indices)
-                    partitions[key] = child_entry
-                    self._sliced_partitions += 1
-                new_entries.append(child_entry)
-            # Seed the children's histogram memos from this partition's
-            # candidate-split batches (same attribute, any binning), so the
-            # winning split's histograms are never recomputed.
-            for (cand_attr, binning), (values, _, batch) in entry.candidates.items():
-                if cand_attr == attr.name and values == ordered:
-                    for child_entry, histogram in zip(new_entries, batch):
-                        child_entry.histograms.setdefault(binning, histogram)
-            self._evict_over_bound_locked()
-        return tuple(children)
-
-    def _attribute_codes(
-        self, name: str
-    ) -> Tuple[np.ndarray, Tuple[object, ...], Dict[object, int], Tuple[str, ...]]:
-        """Integer-coded column for ``name``, served by the dataset itself.
-
-        Returns ``(per-row codes, code -> value, value -> code, code ->
-        member-dataset name suffix)``; entries are immutable once published,
-        so the fast path reads without the lock.  The coding lives on
-        :meth:`Dataset.codes` now — a column-backed dataset already *stores*
-        its protected attributes as integer codes, so this is a zero-copy
-        read; a row-primary dataset computes and caches the coding once,
-        shared across every store over the same dataset object (an audit
-        fanning out over many functions codes each column once).
-        """
-        cached = self._codes.get(name)
-        if cached is not None:
-            return cached
-        codes, decode, encode = self.dataset.codes(name)
-        # The same "/(value,)" suffix Dataset.group_by gives a group's name.
-        suffixes = tuple(f"/{(value,)}" for value in decode)
-        cached = (codes, decode, encode, suffixes)
-        with self._lock:
-            return self._codes.setdefault(name, cached)
-
-    def _ordered_values(self, attr: Attribute) -> Tuple[object, ...]:
+    def _ordered_values(self, attr) -> Tuple[object, ...]:
         """Canonical ordering of every value of ``attr`` in the dataset, cached.
 
         ``order_values`` over any subset of an attribute's values is a filter
-        of this full ordering, so splits never re-sort.
+        of this full ordering, so candidate splits never re-sort.
         """
         cached = self._ordered.get(attr.name)
         if cached is not None:
             return cached
-        _, decode, _, _ = self._attribute_codes(attr.name)
+        _, decode, _ = self.dataset.codes(attr.name)
         cached = order_values(attr, decode)
         with self._lock:
             return self._ordered.setdefault(attr.name, cached)
@@ -635,57 +499,31 @@ class ScoreStore:
 
     # -- entry management --------------------------------------------------------
 
-    def _entry_matches(self, entry: _Entry, members: Dataset) -> bool:
-        """Whether a memoised entry really describes this partition's members.
-
-        Partition keys are constraint tuples, so partitions of *different*
-        datasets can share a key (e.g. every root partition has key ``()``).
-        Reusing another dataset's entry would silently serve wrong scores, so
-        every memo hit is validated — O(1) for partitions produced by this
-        store's own splits (the common case), O(members) only for foreign
-        objects that need uid re-mapping.
-        """
-        indices = entry.indices
-        if indices is None:
-            return entry.owner is members
-        if members is self.dataset:
-            return indices.size == len(self.dataset)
-        if isinstance(members, _SlicedDataset) and members._base is self.dataset:
-            own = members._slice_indices
-            return own is indices or bool(np.array_equal(own, indices))
-        if len(members) != indices.size:
-            return False
-        remapped = self._indices_for_members(members)
-        return remapped is not None and bool(np.array_equal(remapped, indices))
-
     def _entry(self, partition: "Partition") -> _Entry:
         """The store entry for a partition, creating (and bounding) it once.
 
-        An existing entry under the same key that belongs to a *different*
-        population (see :meth:`_entry_matches`) is replaced rather than
-        reused.
+        Entries are keyed by constraints, and two partitions of one root can
+        share constraints while holding different rows (hand-built groups),
+        so an entry is reused only for the same indices.
         """
-        self.vector()
+        if not self._same_root(partition.root):
+            raise PartitioningError(
+                f"partition {partition.label!r} is not drawn from the store's "
+                f"dataset {self.dataset.name!r}"
+            )
         key = partition.key
-        members = partition.members
+        indices = partition.indices
         with self._lock:
             entry = self._partitions.get(key)
-            if entry is not None and self._entry_matches(entry, members):
+            if entry is not None and (
+                entry.indices is indices or np.array_equal(entry.indices, indices)
+            ):
                 self._partitions.move_to_end(key)
                 return entry
-        indices = self._indices_for(partition)
-        with self._lock:
-            entry = self._partitions.get(key)
-            if entry is None or not self._entry_matches(entry, members):
-                entry = _Entry(indices, owner=members if indices is None else None)
-                self._partitions[key] = entry
-                if indices is None:
-                    self._fallback_scorings += 1
-                else:
-                    self._sliced_partitions += 1
-                self._evict_over_bound_locked()
-            else:
-                self._partitions.move_to_end(key)
+            entry = _Entry(indices)
+            self._partitions[key] = entry
+            self._sliced_partitions += 1
+            self._evict_over_bound_locked()
             return entry
 
     def _evict_over_bound_locked(self) -> None:
@@ -707,7 +545,7 @@ class ScoreStore:
         Written (the raw-buffer-plus-manifest idiom of
         :class:`~repro.data.columns.ColumnStore`): the materialized score
         vector, the precomputed per-binning bin codes, and the histogram
-        memo — partition keys, row indices and counts — for every sliced
+        memo — partition keys, row indices and counts — for every
         partition that has memoised histograms.  The manifest records the
         (dataset, function) content fingerprints, so a later
         :meth:`load` can verify the bundle still describes the live catalog
@@ -732,7 +570,7 @@ class ScoreStore:
             partitions = [
                 (key, entry.indices, dict(entry.histograms))
                 for key, entry in self._partitions.items()
-                if entry.indices is not None and entry.histograms
+                if entry.histograms
             ]
         # File writes happen outside the lock: the captured arrays are
         # immutable once published, so serving continues while saving.
@@ -790,7 +628,7 @@ class ScoreStore:
         function: ScoringFunction,
         *,
         max_partitions: Optional[int] = DEFAULT_MAX_PARTITIONS,
-        trust_uids: bool = False,
+        trust_uids: bool = True,
     ) -> "ScoreStore":
         """Rebuild a warm store from :meth:`save` output, fingerprint-verified.
 
@@ -801,6 +639,8 @@ class ScoreStore:
         callers fall back to cold compute instead of serving wrong scores.
         The loaded vector does **not** count as a scoring pass:
         ``stats.scoring_passes`` stays 0 until a genuine recompute happens.
+        ``trust_uids`` is accepted for compatibility and ignored, as in the
+        constructor.
         """
         directory = Path(directory)
         from repro.service.fingerprint import fingerprint_dataset, fingerprint_function
@@ -837,7 +677,6 @@ class ScoreStore:
                 dataset_fingerprint=fingerprint_dataset(dataset),
                 function_fingerprint=fingerprint_function(function),
                 max_partitions=max_partitions,
-                trust_uids=trust_uids,
             )
         except FaiRankError:
             raise
@@ -860,7 +699,6 @@ class ScoreStore:
         dataset_fingerprint: str,
         function_fingerprint: str,
         max_partitions: Optional[int],
-        trust_uids: bool,
     ) -> "ScoreStore":
         rows = int(manifest["rows"])  # type: ignore[arg-type]
         if rows != len(dataset):
@@ -881,9 +719,7 @@ class ScoreStore:
                 f"than the live {function.name!r} (fingerprint drift)",
                 reason="fingerprint",
             )
-        store = cls(
-            dataset, function, max_partitions=max_partitions, trust_uids=trust_uids
-        )
+        store = cls(dataset, function, max_partitions=max_partitions)
         vector = _read_array(directory, manifest["vector"], np.float64, rows)
         vector.setflags(write=False)
         # Assigned directly — a warm load is not a scoring pass, so the
@@ -936,7 +772,6 @@ class ScoreStore:
             return ScoreStoreStats(
                 scoring_passes=self._scoring_passes,
                 sliced_partitions=self._sliced_partitions,
-                fallback_scorings=self._fallback_scorings,
                 histogram_hits=self._histogram_hits,
                 histogram_misses=self._histogram_misses,
                 evictions=self._evictions,
@@ -956,3 +791,45 @@ class ScoreStore:
         """Iterate over the memoised partition keys (oldest first)."""
         with self._lock:
             return iter(list(self._partitions))
+
+
+class _PrivateStores:
+    """The bounded per-(root, function) memo behind :func:`store_for`.
+
+    Keyed by object identity; each store holds its dataset and function, so
+    a key's objects stay alive (and their ids unique) while it is memoised.
+    """
+
+    def __init__(self, slots: int) -> None:
+        self._lock = threading.Lock()
+        self._slots = slots
+        self._stores: "OrderedDict[Tuple[int, int], ScoreStore]" = OrderedDict()
+
+    def get(self, dataset: Dataset, function: ScoringFunction) -> ScoreStore:
+        key = (id(dataset), id(function))
+        with self._lock:
+            store = self._stores.get(key)
+            if store is None:
+                store = self._stores[key] = ScoreStore(dataset, function)
+                while len(self._stores) > self._slots:
+                    self._stores.popitem(last=False)
+            else:
+                self._stores.move_to_end(key)
+            return store
+
+
+_private_stores = _PrivateStores(PRIVATE_STORE_SLOTS)
+
+
+def store_for(
+    dataset: Dataset, function: ScoringFunction, store: Optional[ScoreStore] = None
+) -> ScoreStore:
+    """The store core scores ``dataset`` under ``function`` with.
+
+    ``store`` when it serves the pair (see :meth:`ScoreStore.serves`), else
+    the memoised private store for exactly these objects — a store built for
+    other content is never used.
+    """
+    if store is not None and store.serves(dataset, function):
+        return store
+    return _private_stores.get(dataset, function)

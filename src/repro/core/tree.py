@@ -82,8 +82,8 @@ class PartitionTree:
     """A rooted partitioning tree plus convenience accessors.
 
     The tree owns the root node; its leaves always form a valid full-disjoint
-    partitioning of the root's members (enforced by construction because
-    splits never drop individuals).
+    partitioning of the root partition's dataset (enforced by construction
+    because splits never drop individuals).
     """
 
     def __init__(self, root: PartitionNode) -> None:
@@ -95,7 +95,7 @@ class PartitionTree:
 
     @property
     def dataset(self):
-        return self.root.partition.members
+        return self.root.partition.root
 
     def leaves(self) -> List[PartitionNode]:
         return self.root.leaves()
@@ -133,7 +133,7 @@ class PartitionTree:
         leaves partition the population by construction.
         """
         return Partitioning(
-            dataset=self.root.partition.members,
+            dataset=self.root.partition.root,
             partitions=tuple(leaf.partition for leaf in self.leaves()),
             validate=validate,
         )

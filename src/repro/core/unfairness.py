@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD, resolve_binning
 from repro.core.partition import Partitioning
-from repro.core.scorestore import ScoreStore
+from repro.core.scorestore import ScoreStore, store_for
 from repro.metrics.histogram import Binning, Histogram
 from repro.scoring.base import ScoringFunction
 
@@ -116,8 +116,8 @@ def unfairness(
     pairs to compare), matching the convention of the paper's optimisation
     problem where at least two groups are needed for unequal treatment.
     An explicit ``binning`` must agree with the formulation's (see
-    :func:`~repro.core.formulations.resolve_binning`); a ``store`` serves
-    the histograms from materialized scores.
+    :func:`~repro.core.formulations.resolve_binning`); ``store`` shares a
+    score store (see :func:`~repro.core.scorestore.store_for`).
     """
     effective = resolve_binning(formulation, binning)
     histograms = partitioning.histograms(function, binning=effective, store=store)
@@ -192,11 +192,12 @@ def unfairness_breakdown(
     is most separated, which group is most / least favoured (highest / lowest
     mean score), and the individual pairwise distances.  The binning is
     resolved through :func:`~repro.core.formulations.resolve_binning`, so it
-    always matches what ``quantify`` optimised; a ``store`` reuses the
-    search's materialized scores instead of re-scoring every partition.
+    always matches what ``quantify`` optimised; passing the search's
+    ``store`` reuses its materialized scores and memoised histograms.
     """
     effective = resolve_binning(formulation, binning)
-    histograms = partitioning.histograms(function, binning=effective, store=store)
+    store = store_for(partitioning.dataset, function, store)
+    histograms = [store.histogram(partition, effective) for partition in partitioning]
     labels = partitioning.labels
 
     # pairwise_distances yields values in (i < j) order, matching
@@ -215,7 +216,7 @@ def unfairness_breakdown(
 
     mean_scores: Dict[str, float] = {}
     for partition, label in zip(partitioning, labels):
-        scores = partition.scores(function, store=store)
+        scores = store.scores(partition)
         mean_scores[label] = float(scores.mean()) if scores.size else 0.0
 
     return UnfairnessBreakdown(

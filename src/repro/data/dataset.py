@@ -109,9 +109,8 @@ class Dataset:
     same first-seen integer coding of any attribute column.
     """
 
-    #: Column backing; ``None`` for row-primary datasets.  A class attribute
-    #: so subclasses that bypass ``__init__`` (the score store's lazy slices)
-    #: still read a well-defined value.
+    #: Column backing; ``None`` for row-primary datasets (set by
+    #: :meth:`from_store`).
     _store: Optional[ColumnStore] = None
 
     def __init__(
@@ -563,14 +562,24 @@ class Dataset:
             validate=False,
         )
 
+    def positions(self, uids: Iterable[str]) -> List[int]:
+        """Sorted row positions of the given individual ids."""
+        wanted = set(uids)
+        found = [index for index, uid in enumerate(self.uids) if uid in wanted]
+        if len(found) != len(wanted):
+            missing = wanted - set(self.uids)
+            raise DataError(f"unknown individual ids: {sorted(missing)}")
+        return found
+
     def select_uids(self, uids: Iterable[str]) -> "Dataset":
         """Return a new dataset restricted to the given individual ids."""
-        wanted = set(uids)
-        missing = wanted - set(self.uids)
-        if missing:
-            raise DataError(f"unknown individual ids: {sorted(missing)}")
-        kept = tuple(ind for ind in self._individuals if ind.uid in wanted)
-        return Dataset(self.schema, kept, name=f"{self.name}/subset", validate=False)
+        return self.subset(self.positions(uids))
+
+    def subset(self, positions: Iterable[int], name: Optional[str] = None) -> "Dataset":
+        """Return a new dataset of the rows at ``positions``, in that order."""
+        rows = self._individuals
+        kept = tuple(rows[position] for position in np.asarray(positions).tolist())
+        return Dataset(self.schema, kept, name=name or f"{self.name}/subset", validate=False)
 
     def project(self, names: Sequence[str]) -> "Dataset":
         """Return a dataset with only the attributes in ``names``."""

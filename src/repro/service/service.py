@@ -140,7 +140,6 @@ class StorePoolStats:
     evictions: int = 0
     scoring_passes: int = 0
     sliced_partitions: int = 0
-    fallback_scorings: int = 0
     histogram_hits: int = 0
     histogram_misses: int = 0
 
@@ -162,7 +161,6 @@ class StorePoolStats:
             "evictions": self.evictions,
             "scoring_passes": self.scoring_passes,
             "sliced_partitions": self.sliced_partitions,
-            "fallback_scorings": self.fallback_scorings,
             "histogram_hits": self.histogram_hits,
             "histogram_misses": self.histogram_misses,
             "hit_rate": round(self.hit_rate, 4),
@@ -402,10 +400,9 @@ class FairnessService:
         key = combine_fingerprints(
             "score-store", fingerprint_dataset(dataset), fingerprint_function(function)
         )
+        # Content-keyed: a store serves content-identical roots as its own.
         store, _ = self._store_pool.get_or_compute(
-            # Content-keyed, so uid-based slicing is safe for rebuilt copies.
-            key,
-            lambda: ScoreStore(dataset, function, trust_uids=True),
+            key, lambda: ScoreStore(dataset, function)
         )
         return store
 
@@ -421,7 +418,6 @@ class FairnessService:
             evictions=pool.evictions,
             scoring_passes=sum(s.scoring_passes for s in per_store),
             sliced_partitions=sum(s.sliced_partitions for s in per_store),
-            fallback_scorings=sum(s.fallback_scorings for s in per_store),
             histogram_hits=sum(s.histogram_hits for s in per_store),
             histogram_misses=sum(s.histogram_misses for s in per_store),
         )
@@ -950,20 +946,18 @@ class FairnessService:
             )
         for attribute in attributes:
             dataset.schema.require_protected(attribute)
-        # One materialized scoring pass serves every attribute's split.
+        # One materialized scoring pass serves every attribute's split, over
+        # the store's own (content-identical) root: nothing is remapped.
         store = self.score_store(dataset, function)
-        root = root_partition(dataset)
+        root = root_partition(store.dataset)
         rows: List[Dict[str, object]] = []
         for attribute in attributes:
-            children = split_partition(root, attribute, store=store)
+            children = split_partition(root, attribute)
             admissible = len(children) >= 2 and all(
                 child.size >= request.min_partition_size for child in children
             )
             if len(children) >= 2:
-                histograms = [
-                    child.histogram(function, binning=binning, store=store)
-                    for child in children
-                ]
+                _, _, histograms = store.candidate_split(root, attribute, binning)
                 value = formulation.aggregate(
                     pairwise_distances(histograms, formulation)
                 )
@@ -971,7 +965,7 @@ class FairnessService:
                 value = 0.0
             groups = []
             for child in children:
-                scores = child.scores(function, store=store)
+                scores = store.scores(child)
                 groups.append(
                     {
                         "label": child.label,

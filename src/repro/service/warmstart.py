@@ -209,7 +209,7 @@ def _load_store(
         )
         return None
     try:
-        store = ScoreStore.load(store_dir, dataset, function, trust_uids=True)
+        store = ScoreStore.load(store_dir, dataset, function)
     except WarmStartError as error:
         _skip(skips, error.reason, directory=str(store_dir), error=str(error))
         return None

@@ -155,6 +155,24 @@ class TestHotPathMaterialisation:
         report = analyse(tmp_path, "repro/session/hot.py", source)
         assert not fired(report, "FL002")
 
+    def test_seeded_case_covers_core_member_reads(self, tmp_path):
+        relpath, source = SELFTEST_CASES["FL002"]
+        messages = [f.message for f in fired(analyse(tmp_path, relpath, source), "FL002")]
+        assert any(".members" in message for message in messages)
+        assert any(".iter_rows()" in message for message in messages)
+
+    @pytest.mark.parametrize("expression", [
+        "partition.members",
+        "dataset.individuals",
+        "dataset.group_by(['Gender'])",
+        "dataset.select_uids(['w1'])",
+    ])
+    def test_core_row_access_is_flagged_only_in_core(self, tmp_path, expression):
+        source = f"def rows(partition, dataset):\n    return {expression}\n"
+        assert fired(analyse(tmp_path / "core", "repro/core/hot.py", source), "FL002")
+        for layer in ("repro/scoring/hot.py", "repro/session/hot.py"):
+            assert not fired(analyse(tmp_path / layer, layer, source), "FL002")
+
     def test_columnar_access_on_hot_path_is_fine(self, tmp_path):
         report = analyse(tmp_path, "repro/core/hot.py", (
             "def total(dataset):\n"

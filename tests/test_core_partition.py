@@ -17,15 +17,19 @@ class TestPartition:
     def test_label_and_key(self, table1_dataset):
         partition = Partition(
             constraints=(("Gender", "Male"), ("Language", "English")),
-            members=table1_dataset.filter(
-                lambda i: i["Gender"] == "Male" and i["Language"] == "English"
-            ),
+            root=table1_dataset,
+            indices=[
+                index
+                for index, individual in enumerate(table1_dataset)
+                if individual["Gender"] == "Male" and individual["Language"] == "English"
+            ],
         )
         assert partition.label == "Gender=Male, Language=English"
         # Key is sorted by attribute name, independent of constraint order.
         flipped = Partition(
             constraints=(("Language", "English"), ("Gender", "Male")),
-            members=partition.members,
+            root=table1_dataset,
+            indices=partition.indices,
         )
         assert partition.key == flipped.key
 
@@ -33,7 +37,8 @@ class TestPartition:
         with pytest.raises(PartitioningError):
             Partition(
                 constraints=(("Gender", "Male"), ("Gender", "Female")),
-                members=table1_dataset,
+                root=table1_dataset,
+                indices=range(len(table1_dataset)),
             )
 
     def test_constraint_value(self, table1_dataset):
@@ -106,15 +111,16 @@ class TestPartitioning:
     def test_validation_rejects_missing_individuals(self, table1_dataset):
         females = Partition(
             constraints=(("Gender", "Female"),),
-            members=table1_dataset.filter(lambda i: i["Gender"] == "Female"),
+            root=table1_dataset,
+            indices=table1_dataset.positions(
+                i.uid for i in table1_dataset if i["Gender"] == "Female"
+            ),
         )
         with pytest.raises(PartitioningError):
             Partitioning(table1_dataset, (females,))
 
     def test_validation_rejects_empty_partition(self, table1_dataset):
-        empty = Partition(
-            constraints=(("Gender", "X"),), members=table1_dataset.filter(lambda i: False)
-        )
+        empty = Partition(constraints=(("Gender", "X"),), root=table1_dataset, indices=[])
         with pytest.raises(PartitioningError):
             Partitioning(table1_dataset, (empty, root_partition(table1_dataset)))
 

@@ -7,17 +7,18 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.formulations import Formulation, resolve_binning
+from oracle import Oracle, labels
+from repro.core.formulations import MOST_UNFAIR_AVG_EMD, Formulation, resolve_binning
 from repro.core.partition import Partitioning, root_partition, split_partition
 from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import unfairness, unfairness_breakdown
 from repro.data.dataset import Dataset
-from repro.errors import FormulationError
+from repro.errors import FormulationError, PartitioningError
 from repro.experiments.workloads import crowdsourcing_marketplace, synthetic_population
 from repro.metrics.histogram import Binning, build_histogram
 from repro.scoring.linear import LinearScoringFunction
-from repro.service import FairnessService, QuantifyRequest
+from repro.service import BreakdownRequest, FairnessService, QuantifyRequest, SweepRequest
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +29,18 @@ def population() -> Dataset:
 @pytest.fixture(scope="module")
 def function() -> LinearScoringFunction:
     return LinearScoringFunction({"Language Test": 0.6, "Rating": 0.4}, name="store-f")
+
+
+def assert_matches_oracle(result, dataset, function, formulation, min_size):
+    """The search result equals the independent oracle's Algorithm 1 run."""
+    oracle = Oracle.from_dataset(
+        dataset, function.score_dataset(dataset), formulation, min_size
+    )
+    leaves, expected = oracle.quantify(list(dataset.schema.protected_names))
+    assert not oracle.ambiguous
+    assert result.partitioning.labels == labels(leaves)
+    assert list(result.partitioning.sizes) == [len(group) for _, group in leaves]
+    assert abs(result.unfairness - expected) <= 1e-12
 
 
 class CountingFunction(LinearScoringFunction):
@@ -69,15 +82,18 @@ class TestSlicing:
         assert counting.calls == 1
         assert counting.rows == len(population)
         assert store.stats.scoring_passes == 1
-        assert store.stats.fallback_scorings == 0
 
-    def test_unmappable_partition_falls_back_to_direct_scoring(self, population, function):
+    def test_foreign_partition_is_refused(self, population, function):
         store = ScoreStore(population, function)
         other = synthetic_population(size=40, seed=99)
-        foreign = root_partition(other)
-        scores = store.scores(foreign)
-        assert np.array_equal(scores, function.score_dataset(other))
-        assert store.stats.fallback_scorings == 1
+        with pytest.raises(PartitioningError):
+            store.scores(root_partition(other))
+        # Core never hands it one: a partition's own scores use a store
+        # over its own root.
+        assert np.array_equal(
+            root_partition(other).scores(function, store=store),
+            function.score_dataset(other),
+        )
 
     def test_statistics_match_partition_statistics(self, population, function):
         store = ScoreStore(population, function)
@@ -101,8 +117,8 @@ class TestSlicing:
         twin = LinearScoringFunction(
             {"Language Test": 0.6, "Rating": 0.4}, name="renamed-twin"
         )
-        assert store.serves(twin)
-        assert not store.serves(other)
+        assert store.serves(population, twin)
+        assert not store.serves(population, other)
 
     def test_shared_store_never_reuses_entries_across_datasets(self, population, function):
         # Partitions of different datasets can share a constraints key (every
@@ -121,27 +137,25 @@ class TestSlicing:
 
 
 class TestSplit:
-    def test_store_split_matches_group_by_split(self, population, function):
-        store = ScoreStore(population, function)
+    def test_split_matches_group_by(self, population):
         parent = root_partition(population)
         for attribute in population.schema.protected_names:
-            plain = split_partition(parent, attribute)
-            stored = split_partition(parent, attribute, store=store)
-            assert [c.label for c in stored] == [c.label for c in plain]
-            assert [c.size for c in stored] == [c.size for c in plain]
-            for fast, slow in zip(stored, plain):
-                assert fast.members.uids == slow.members.uids
-                assert fast.members.name == slow.members.name
+            children = split_partition(parent, attribute)
+            groups = population.group_by([attribute])
+            assert [c.constraint_value(attribute) for c in children] == list(
+                population.distinct_values(attribute)
+            )
+            for child in children:
+                members = groups[(child.constraint_value(attribute),)]
+                assert child.uids == members.uids
+                assert child.members.uids == members.uids
 
     def test_candidate_split_histograms_match_materialized(self, population, function):
         store = ScoreStore(population, function)
         parent = root_partition(population)
         binning = Binning.unit()
         for attribute in population.schema.protected_names:
-            attr = population.schema.require_protected(attribute)
-            candidate = store.candidate_split(parent, attr, binning)
-            assert candidate is not None
-            values, sizes, histograms = candidate
+            values, sizes, histograms = store.candidate_split(parent, attribute, binning)
             children = split_partition(parent, attribute)
             assert list(values) == [c.constraint_value(attribute) for c in children]
             assert list(sizes) == [c.size for c in children]
@@ -212,10 +226,7 @@ class TestHistogramMemo:
             direct = build_histogram(scorer.score_dataset(population), binning=binning)
             assert store.histogram(parent, binning).counts == direct.counts
             for attribute in population.schema.protected_names:
-                attr = population.schema.require_protected(attribute)
-                candidate = store.candidate_split(parent, attr, binning)
-                assert candidate is not None
-                values, sizes, histograms = candidate
+                values, sizes, histograms = store.candidate_split(parent, attribute, binning)
                 children = split_partition(parent, attribute)
                 # Sizes count members (NaN-scored included)...
                 assert list(sizes) == [c.size for c in children]
@@ -229,25 +240,13 @@ class TestHistogramMemo:
 
 class TestQuantifyRegression:
     def test_same_tree_same_splits_fewer_scorings(self, population, function):
-        counting_seed = CountingFunction(function)
-        counting_store = CountingFunction(function)
-        seed_result = quantify(
-            population,
-            counting_seed,
-            min_partition_size=5,
-            materialize=False,
-        )
-        store_result = quantify(population, counting_store, min_partition_size=5)
-        # Identical search outcome...
-        assert store_result.summary() == seed_result.summary()
-        assert store_result.splits_evaluated == seed_result.splits_evaluated
-        assert store_result.unfairness == seed_result.unfairness
-        assert store_result.partitioning.labels == seed_result.partitioning.labels
-        assert store_result.tree.summary() == seed_result.tree.summary()
-        # ...with strictly less scoring work: one pass over the population.
-        assert counting_store.calls == 1
-        assert counting_store.rows == len(population)
-        assert counting_seed.rows > counting_store.rows
+        counting = CountingFunction(function)
+        result = quantify(population, counting, min_partition_size=5)
+        # The oracle's search outcome...
+        assert_matches_oracle(result, population, function, MOST_UNFAIR_AVG_EMD, 5)
+        # ...from one scoring pass over the population.
+        assert counting.calls == 1
+        assert counting.rows == len(population)
 
     def test_breakdown_identical_with_store(self, population, function):
         result = quantify(population, function, min_partition_size=5)
@@ -276,10 +275,7 @@ class TestQuantifyRegression:
             with_store = quantify(
                 population, function, formulation, min_partition_size=5, store=store
             )
-            without = quantify(
-                population, function, formulation, min_partition_size=5, materialize=False
-            )
-            assert with_store.summary() == without.summary()
+            assert_matches_oracle(with_store, population, function, formulation, 5)
         assert store.stats.scoring_passes == 1
 
 
@@ -401,10 +397,9 @@ class TestServicePool:
         first = service.score_store(dataset, function)
         second = service.score_store(rebuilt, function)
         assert second is first
-        # uid-mapped slicing over the rebuilt copy still avoids re-scoring.
+        # The store serves the rebuilt copy as its own root: no re-scoring.
         result = quantify(rebuilt, function, min_partition_size=5, store=second)
-        reference = quantify(rebuilt, function, min_partition_size=5, materialize=False)
-        assert result.summary() == reference.summary()
+        assert_matches_oracle(result, rebuilt, function, MOST_UNFAIR_AVG_EMD, 5)
         assert second.stats.scoring_passes == 1
 
     def test_pool_is_bounded(self):
@@ -447,4 +442,46 @@ class TestServicePool:
         # One store (and one scoring pass) per distinct (candidates, function)
         # pair — never more than one pass per audited job.
         assert stats.scoring_passes <= len(marketplace)
-        assert stats.fallback_scorings == 0
+
+
+class _RowlessDataset(Dataset):
+    """A dataset whose rows must not be walked: iteration and uids raise."""
+
+    def __iter__(self):
+        raise AssertionError("rows iterated")
+
+    @property
+    def individuals(self):
+        raise AssertionError("rows materialised")
+
+    @property
+    def uids(self):
+        raise AssertionError("uids read")
+
+
+class TestAliasedRoots:
+    def test_alias_is_served_from_the_warm_store_without_rows(self):
+        population = synthetic_population(size=300, seed=7)
+        alias = Dataset(population.schema, list(population), name="alias")
+        service = FairnessService()
+        service.register_dataset(population, name="A")
+        service.register_dataset(alias, name="B")
+        service.register_function(
+            LinearScoringFunction({"Language Test": 0.5, "Rating": 0.5}, name="balanced")
+        )
+
+        def requests(name):
+            return [
+                QuantifyRequest(dataset=name, function="balanced", min_partition_size=5),
+                BreakdownRequest(dataset=name, function="balanced", min_partition_size=5),
+                SweepRequest(dataset=name, function="balanced", steps=2, min_partition_size=5),
+            ]
+
+        warm = [service.execute(request) for request in requests("A")]
+        passes = service.store_stats.scoring_passes
+        alias.__class__ = _RowlessDataset
+        served = [service.execute(request) for request in requests("B")]
+        for first, second in zip(warm, served):
+            assert second.ok, second.error
+            assert second.payload == {**first.payload, "dataset": "B"}
+        assert service.store_stats.scoring_passes == passes
