@@ -12,12 +12,18 @@ pins the perf trajectory of that layer:
   to 1e-12);
 * **compute-once** — on the bundled marketplace workload every individual is
   scored exactly once per scoring function;
-* **columnar data plane** — at 100k rows, validate + cold QUANTIFY on a
-  column-backed population must be at least 5x the per-row dict path, with
-  byte-identical results;
-* **million-row leg** — both backings QUANTIFY a 1M-row population in
-  separate interpreters; the columnar one must win on wall-clock and peak
-  RSS (``ru_maxrss``).
+* **data plane at 100k rows** — validate + cold QUANTIFY over the column
+  store (``columnar_ms``) and cold QUANTIFY of a freshly generated
+  population (``cold_quantify_s``) are recorded as trajectory; the result
+  must equal that of a twin reloaded from ``ColumnStore.save``/``load``
+  (memory-mapped);
+* **million-row leg** — QUANTIFY a 1M-row population in a fresh
+  interpreter; build and quantify wall-clock and peak RSS (``ru_maxrss``)
+  are trajectory, and the result must reproduce the committed partition,
+  split and unfairness figures.
+
+Every dataset has one backing (a column store), so these legs time that
+backing and gate only on exactness: there is no second backing to race.
 
 Results are written to ``BENCH_quantify.json`` at the repository root; CI
 uploads the file as a workflow artifact so the trajectory is tracked per
@@ -29,6 +35,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tempfile
 import time
 from typing import Dict, List, Tuple
 
@@ -36,6 +43,7 @@ from repro.core.formulations import MOST_UNFAIR_AVG_EMD
 from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import unfairness_breakdown
+from repro.data.columns import ColumnStore
 from repro.data.dataset import Dataset
 from repro.experiments.workloads import crowdsourcing_marketplace, synthetic_population
 from repro.scoring.linear import LinearScoringFunction
@@ -49,14 +57,19 @@ SEED = 7
 MIN_PARTITION_SIZE = 25
 ROUNDS = 5
 
-#: The columnar-vs-dict data-plane leg (validate + cold QUANTIFY at 100k rows).
+#: The data-plane leg (validate + cold QUANTIFY at 100k rows).
 COLUMNAR_POPULATION = 100_000
 COLUMNAR_MIN_PARTITION = 250
 COLUMNAR_ROUNDS = 3
-REQUIRED_COLUMNAR_SPEEDUP = 5.0
 
-#: The million-row leg (one subprocess per backing, peak RSS via ru_maxrss).
+#: The million-row leg (one subprocess, peak RSS via ru_maxrss) and the
+#: result it must reproduce.
 MILLION = 1_000_000
+MILLION_EXPECTED = {
+    "partitions": 90,
+    "splits_evaluated": 517,
+    "unfairness": 0.20972661260779354,
+}
 
 _RESULTS_PATH = REPO_ROOT / "BENCH_quantify.json"
 
@@ -65,23 +78,6 @@ def _workload():
     dataset = synthetic_population(size=POPULATION_SIZE, seed=SEED)
     function = LinearScoringFunction({"Language Test": 0.5, "Rating": 0.5}, name="balanced")
     return dataset, function
-
-
-def _best_of_interleaved(first, second, rounds: int = ROUNDS) -> Tuple[float, float]:
-    """Best wall-clock of ``rounds`` alternating runs of two callables.
-
-    Interleaving keeps a drifting machine load from penalising whichever
-    side happens to be measured last.
-    """
-    best_first = best_second = float("inf")
-    for _ in range(rounds):
-        started = time.perf_counter()
-        first()
-        best_first = min(best_first, time.perf_counter() - started)
-        started = time.perf_counter()
-        second()
-        best_second = min(best_second, time.perf_counter() - started)
-    return best_first, best_second
 
 
 def _timed(run) -> float:
@@ -157,86 +153,70 @@ def test_store_speedup_and_exactness(benchmark):
     )
 
 
-def test_columnar_data_plane_speedup():
-    """Columnar validate + cold QUANTIFY is >= 5x the dict path at 100k rows.
+def test_data_plane_100k():
+    """Validate + cold QUANTIFY over a 100k-row column store, checked exact.
 
-    Both packagings carry the same RNG draws (identical values, identical
-    content fingerprint), so results must be byte-identical; only the data
-    plane differs.  Every round constructs a fresh ``Dataset`` wrapper so
-    per-object memos (integer codings, fingerprints) cannot leak between
-    rounds.  Content hashing is reported separately, not asserted: the hash
-    walks identical per-row bytes on either backing, so it measures the
-    hash function, not the data plane.
+    Every round wraps the store in a fresh ``Dataset`` so per-object memos
+    (integer codings, fingerprints) cannot leak between rounds.  The result
+    must equal that of a twin reloaded, memory-mapped, from
+    ``ColumnStore.save``/``load``.  ``cold_quantify_s`` times QUANTIFY on a
+    freshly generated population (generation excluded).
     """
     function = LinearScoringFunction(
         {"Language Test": 0.5, "Rating": 0.5}, name="balanced"
     )
-    row_dataset = synthetic_population(size=COLUMNAR_POPULATION, seed=SEED)
-    columnar_dataset = synthetic_population(
-        size=COLUMNAR_POPULATION, seed=SEED, columnar=True
-    )
-    schema = row_dataset.schema
-    rows = row_dataset.individuals
-    store = columnar_dataset.store
-    assert store is not None
+    population = synthetic_population(size=COLUMNAR_POPULATION, seed=SEED)
+    schema = population.schema
+    store = population.store
 
-    def dict_pass():
-        dataset = Dataset(schema, rows, name="bench-dict", validate=True)
-        return quantify(
-            dataset, function, min_partition_size=COLUMNAR_MIN_PARTITION
+    def columnar_pass(backing=store):
+        dataset = Dataset.from_store(schema, backing, name="bench-columnar", validate=True)
+        return quantify(dataset, function, min_partition_size=COLUMNAR_MIN_PARTITION)
+
+    result = columnar_pass()
+    with tempfile.TemporaryDirectory() as directory:
+        store.save(directory)
+        twin = columnar_pass(ColumnStore.load(directory, mmap=True))
+    assert twin.summary() == result.summary()
+    assert twin.unfairness == result.unfairness
+    assert twin.splits_evaluated == result.splits_evaluated
+    assert twin.partitioning.labels == result.partitioning.labels
+    assert twin.partitioning.sizes == result.partitioning.sizes
+
+    columnar_elapsed = min(_timed(columnar_pass) for _ in range(COLUMNAR_ROUNDS))
+    cold = []
+    for _ in range(COLUMNAR_ROUNDS):
+        fresh = synthetic_population(size=COLUMNAR_POPULATION, seed=SEED)
+        cold.append(
+            _timed(lambda: quantify(
+                fresh, function, min_partition_size=COLUMNAR_MIN_PARTITION
+            ))
         )
-
-    def columnar_pass():
-        dataset = Dataset.from_store(
-            schema, store, name="bench-columnar", validate=True
-        )
-        return quantify(
-            dataset, function, min_partition_size=COLUMNAR_MIN_PARTITION
-        )
-
-    dict_result = dict_pass()
-    columnar_result = columnar_pass()
-    assert columnar_result.summary() == dict_result.summary()
-    assert columnar_result.unfairness == dict_result.unfairness
-    assert columnar_result.splits_evaluated == dict_result.splits_evaluated
-    assert columnar_result.partitioning.labels == dict_result.partitioning.labels
-    assert columnar_result.partitioning.sizes == dict_result.partitioning.sizes
-
-    dict_elapsed, columnar_elapsed = _best_of_interleaved(
-        dict_pass, columnar_pass, rounds=COLUMNAR_ROUNDS
-    )
-    speedup = dict_elapsed / max(columnar_elapsed, 1e-9)
+    cold_elapsed = min(cold)
     throughput = COLUMNAR_POPULATION / max(columnar_elapsed, 1e-9)
 
     print()
     print(
-        f"data plane {COLUMNAR_POPULATION} rows: dict {dict_elapsed * 1000:.0f}ms  "
-        f"columnar {columnar_elapsed * 1000:.0f}ms  speedup {speedup:.1f}x  "
-        f"({throughput:,.0f} rows/s)"
+        f"data plane {COLUMNAR_POPULATION} rows: validate + quantify "
+        f"{columnar_elapsed * 1000:.0f}ms ({throughput:,.0f} rows/s); cold quantify "
+        f"of a fresh population {cold_elapsed:.3f}s"
     )
     _write_results(
         {
             "columnar_100k": {
                 "population": COLUMNAR_POPULATION,
                 "min_partition_size": COLUMNAR_MIN_PARTITION,
-                "dict_ms": round(dict_elapsed * 1000, 2),
                 "columnar_ms": round(columnar_elapsed * 1000, 2),
-                "speedup": round(speedup, 2),
-                "required_speedup": REQUIRED_COLUMNAR_SPEEDUP,
                 "columnar_rows_per_s": round(throughput),
-                "identical_results": True,
+                "cold_quantify_s": round(cold_elapsed, 3),
+                "identical_to_memmap_twin": True,
             }
         }
     )
-    assert speedup >= REQUIRED_COLUMNAR_SPEEDUP, (
-        f"columnar data plane must be >= {REQUIRED_COLUMNAR_SPEEDUP}x the dict "
-        f"path (dict {dict_elapsed * 1000:.0f}ms, columnar "
-        f"{columnar_elapsed * 1000:.0f}ms, {speedup:.2f}x)"
-    )
 
 
-#: Runs in a fresh interpreter per backing so ``ru_maxrss`` (the process
-#: high-water mark) reflects exactly one data plane.  Prints one JSON line.
+#: Runs in a fresh interpreter so ``ru_maxrss`` (the process high-water
+#: mark) reflects exactly one population.  Prints one JSON line.
 _MILLION_LEG_SCRIPT = """
 import json, resource, sys, time
 from repro.core.formulations import MOST_UNFAIR_AVG_EMD
@@ -244,9 +224,9 @@ from repro.core.quantify import quantify
 from repro.experiments.workloads import synthetic_population
 from repro.scoring.linear import LinearScoringFunction
 
-size, columnar = int(sys.argv[1]), sys.argv[2] == "columnar"
+size = int(sys.argv[1])
 started = time.perf_counter()
-dataset = synthetic_population(size=size, columnar=columnar)
+dataset = synthetic_population(size=size)
 build_s = time.perf_counter() - started
 function = LinearScoringFunction(
     {"Language Test": 0.5, "Rating": 0.5}, name="balanced"
@@ -266,59 +246,29 @@ print(json.dumps({
 """
 
 
-def _run_million_leg(backing: str) -> Dict[str, object]:
+def test_million_row_leg():
+    """QUANTIFY a million-row population; the result must be the committed one.
+
+    The leg runs in its own interpreter so the kernel's peak-RSS high-water
+    mark isolates one population.  Timings and peak RSS are trajectory.
+    """
     completed = subprocess.run(
-        [sys.executable, "-c", _MILLION_LEG_SCRIPT, str(MILLION), backing],
+        [sys.executable, "-c", _MILLION_LEG_SCRIPT, str(MILLION)],
         capture_output=True,
         text=True,
         check=True,
         cwd=REPO_ROOT,
         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
-    return json.loads(completed.stdout.strip().splitlines()[-1])
-
-
-def test_million_row_leg():
-    """QUANTIFY a million-row population on both backings; columnar must win.
-
-    Each backing runs in its own interpreter so the kernel's peak-RSS
-    high-water mark isolates one data plane.  The columnar backing must beat
-    the dict backing on both quantify wall-clock and peak RSS, and the two
-    runs must agree on every result number.
-    """
-    columnar = _run_million_leg("columnar")
-    dict_path = _run_million_leg("dict")
-    assert columnar["unfairness"] == dict_path["unfairness"]
-    assert columnar["partitions"] == dict_path["partitions"]
-    assert columnar["splits_evaluated"] == dict_path["splits_evaluated"]
-
-    quantify_speedup = dict_path["quantify_s"] / max(columnar["quantify_s"], 1e-9)
-    rss_ratio = dict_path["peak_rss_mb"] / max(columnar["peak_rss_mb"], 1e-9)
+    leg = json.loads(completed.stdout.strip().splitlines()[-1])
     print()
     print(
-        f"1M rows columnar: build {columnar['build_s']}s  quantify "
-        f"{columnar['quantify_s']}s ({columnar['rows_per_s']:,} rows/s)  "
-        f"peak RSS {columnar['peak_rss_mb']}MB"
+        f"1M rows: build {leg['build_s']}s  quantify {leg['quantify_s']}s "
+        f"({leg['rows_per_s']:,} rows/s)  peak RSS {leg['peak_rss_mb']}MB"
     )
-    print(
-        f"1M rows dict:     build {dict_path['build_s']}s  quantify "
-        f"{dict_path['quantify_s']}s ({dict_path['rows_per_s']:,} rows/s)  "
-        f"peak RSS {dict_path['peak_rss_mb']}MB"
-    )
-    print(f"quantify speedup {quantify_speedup:.1f}x, peak-RSS win {rss_ratio:.1f}x")
-    _write_results(
-        {
-            "quantify_1m": {
-                "population": MILLION,
-                "columnar": columnar,
-                "dict": dict_path,
-                "quantify_speedup": round(quantify_speedup, 2),
-                "peak_rss_ratio": round(rss_ratio, 2),
-            }
-        }
-    )
-    assert columnar["quantify_s"] < dict_path["quantify_s"]
-    assert columnar["peak_rss_mb"] < dict_path["peak_rss_mb"]
+    _write_results({"quantify_1m": {"population": MILLION, "columnar": leg}})
+    for key, expected in MILLION_EXPECTED.items():
+        assert leg[key] == expected, f"1M leg {key}: {leg[key]!r} != {expected!r}"
 
 
 def test_marketplace_scores_each_individual_once():

@@ -11,6 +11,7 @@ FL004 fingerprint completeness (no silent pickle fallbacks)
 FL005 metrics naming + OPERATIONS.md coverage
 FL006 bare-thread hygiene in request-serving code
 FL007 swallowed exceptions
+FL008 builtin ``hash()`` outside ``__hash__`` (salted per process)
 FL101 tab indentation          (format floor)
 FL102 trailing whitespace      (format floor)
 FL103 line longer than 100     (format floor)

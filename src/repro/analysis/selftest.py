@@ -92,6 +92,14 @@ SELFTEST_CASES: Dict[str, Tuple[str, str]] = {
         "    except:\n"
         "        pass\n",
     ),
+    "FL008": (
+        "repro/seeding.py",
+        "import numpy as np\n"
+        "\n"
+        "\n"
+        "def rng_for(name, seed):\n"
+        "    return np.random.default_rng(seed + hash(name) % 10_000)\n",
+    ),
     "FL101": (
         "repro/tabbed.py",
         "def f():\n\tif True:\n\t\treturn 1\n",

@@ -217,13 +217,10 @@ class GlobalRecodingAnonymizer:
                 if tuple(individual.values[name] for name in quasi_identifiers) in violating_keys
             ]
             if len(suppressed) <= max_suppressed:
-                kept = generalized.filter(lambda ind: ind.uid not in set(suppressed))
+                dropped = set(suppressed)
                 return AnonymizationResult(
-                    dataset=Dataset(
-                        generalized.schema,
-                        tuple(kept),
-                        name=f"{dataset.name}/k={k}",
-                        validate=False,
+                    dataset=generalized.filter(
+                        lambda ind: ind.uid not in dropped, name=f"{dataset.name}/k={k}"
                     ),
                     k=k,
                     quasi_identifiers=quasi_identifiers,

@@ -1,6 +1,6 @@
-"""Contiguous numpy column arrays — the columnar backing of :class:`Dataset`.
+"""Contiguous numpy column arrays — the backing of every :class:`Dataset`.
 
-This module is the storage half of the columnar data plane.  A
+This module is the storage half of the data plane.  A
 :class:`ColumnStore` holds one population as a set of per-attribute arrays:
 
 * **coded columns** (:class:`CodedColumn`) store categorical/ordinal values
@@ -61,11 +61,6 @@ MANIFEST_VERSION = 1
 _JSON_SAFE_TYPES = (str, int, float, bool, type(None))
 
 
-def _type_key(value: object) -> Tuple[type, object]:
-    """Dict key distinguishing equal-but-differently-typed values (1 vs 1.0)."""
-    return (value.__class__, value)
-
-
 class CodedColumn:
     """An integer-coded categorical/ordinal column.
 
@@ -98,6 +93,20 @@ class CodedColumn:
         table = self.values
         return [table[code] for code in self.codes[start:stop].tolist()]
 
+    def take(self, positions: Optional[np.ndarray] = None) -> "CodedColumn":
+        """The rows at ``positions`` (all rows if ``None``), re-coded.
+
+        Codes of the result follow the first-seen order of the kept rows and
+        its decode table holds only the values they use — the order a
+        :class:`ColumnStoreBuilder` would give the same values.
+        """
+        codes = self.codes if positions is None else self.codes[positions]
+        present, first = np.unique(codes, return_index=True)
+        order = present[np.argsort(first, kind="stable")]
+        remap = np.empty(len(self.values), dtype=np.int64)
+        remap[order] = np.arange(len(order), dtype=np.int64)
+        return CodedColumn(remap[codes], [self.values[code] for code in order.tolist()])
+
 
 class NumericColumn:
     """A contiguous ``float64`` column of an observed (numeric) attribute."""
@@ -118,6 +127,10 @@ class NumericColumn:
     def decode_range(self, start: int, stop: int) -> List[float]:
         """The Python float values of rows ``start..stop``."""
         return self.values[start:stop].tolist()
+
+    def take(self, positions: np.ndarray) -> "NumericColumn":
+        """The rows at ``positions``."""
+        return NumericColumn(self.values[positions])
 
 
 Column = Union[CodedColumn, NumericColumn]
@@ -398,7 +411,7 @@ class ColumnStoreBuilder:
             decode = self._decodes[name]
             codes = np.empty(chunk_len, dtype=np.int64)
             for position, value in enumerate(columns[name]):
-                key = _type_key(value)
+                key = (value.__class__, value)  # 1, 1.0 and True stay apart
                 code = encode.get(key)
                 if code is None:
                     code = len(encode)
@@ -410,12 +423,11 @@ class ColumnStoreBuilder:
             self._chunks[name].append(np.asarray(columns[name], dtype=np.float64))
         self._n += chunk_len
 
-    def finish(self, uids: Optional[Sequence[str]] = None) -> ColumnStore:
+    def finish(self) -> ColumnStore:
         """Concatenate the accumulated chunks into a :class:`ColumnStore`.
 
-        ``uids`` overrides the collected ids (or supplies them for a builder
-        constructed without ``collect_uids``); ``None`` keeps the collected
-        ones, falling back to the sequential ``w1..wn`` convention.
+        The store keeps the collected ids, or the sequential ``w1..wn``
+        convention for a builder constructed without ``collect_uids``.
         """
         columns: Dict[str, Column] = {}
         for name in self._coded_names:
@@ -430,6 +442,4 @@ class ColumnStoreBuilder:
                 np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
             )
             columns[name] = NumericColumn(values)
-        if uids is None:
-            uids = self._uids
-        return ColumnStore(self._n, columns, uids=uids)
+        return ColumnStore(self._n, columns, uids=self._uids)

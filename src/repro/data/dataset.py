@@ -1,28 +1,23 @@
-"""Tabular store of individuals (workers) for FaiRank — row- or column-backed.
+"""Tabular store of individuals (workers) for FaiRank, backed by column arrays.
 
 The :class:`Dataset` is the substrate every other subsystem consumes: the
 scoring functions read observed attribute columns from it, the partitioning
 algorithms group its rows by protected-attribute values, the anonymiser
 rewrites its protected columns, and the marketplace generator produces it.
 
-Two backings share one contract:
-
-* **row-primary** datasets (the classic construction: ``Dataset(schema,
-  individuals)``) hold a tuple of :class:`Individual` objects and behave
-  exactly as they always have;
-* **column-primary** datasets (:meth:`Dataset.from_store`) hold a
-  :class:`~repro.data.columns.ColumnStore` of contiguous numpy arrays —
-  integer-coded protected attributes, ``float64`` observed attributes,
-  optionally memory-mapped from disk — and materialise :class:`Individual`
-  rows *lazily*, only if something actually iterates them.  Column access
-  (:meth:`column`, :meth:`numeric_column`, :meth:`observed_matrix`,
-  :meth:`codes`, :meth:`value_counts`, :meth:`distinct_values`) is served
-  straight from the arrays, so the scoring and partitioning hot paths never
-  touch per-row dicts.
-
-Both backings produce identical values, identical orderings and identical
-content fingerprints, so every downstream result is byte-identical whichever
-backing a population arrived on.
+Every dataset holds one :class:`~repro.data.columns.ColumnStore` of
+contiguous numpy arrays — integer-coded protected attributes, ``float64``
+observed attributes, optionally memory-mapped from disk — whichever
+constructor built it: rows (``Dataset(schema, individuals)``), records,
+column vectors or an existing store all pack through
+:class:`~repro.data.columns.ColumnStoreBuilder`.  Column access
+(:meth:`column`, :meth:`numeric_column`, :meth:`observed_matrix`,
+:meth:`codes`, :meth:`value_counts`, :meth:`distinct_values`) and the
+relational operations (:meth:`subset`, :meth:`group_by`, :meth:`project`,
+...) work on the arrays.  :class:`Individual` rows are a lazy, cached view
+for the few consumers that walk rows (bias planting, k-anonymity, ranking,
+row filters, the roles, per-row scoring); the scoring and partitioning hot
+paths never build one.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 import numpy as np
 
-from repro.data.columns import CodedColumn, ColumnStore, ColumnStoreBuilder, NumericColumn
+from repro.data.columns import CodedColumn, Column, ColumnStore, ColumnStoreBuilder, NumericColumn
 from repro.data.schema import Attribute, AttributeType, Schema
 from repro.errors import DataError, EmptyDatasetError, UnknownAttributeError
 
@@ -63,10 +58,9 @@ class Individual:
     """A single individual (worker) with an identifier and attribute values.
 
     ``values`` maps attribute name to value.  Individuals are immutable; the
-    dataset is the unit of mutation (by producing new datasets).  For a
-    column-backed dataset these objects are a *materialised view*: they are
-    built on first iteration from the decode tables and numeric arrays, and
-    carry exactly the values the columns hold.
+    dataset is the unit of mutation (by producing new datasets).  The rows of
+    a dataset are a view built on first iteration from its decode tables and
+    numeric arrays, carrying exactly the values the columns hold.
     """
 
     uid: str
@@ -91,27 +85,68 @@ class Individual:
         return Individual(uid=self.uid, values=merged)
 
 
+def _pack_columns(
+    attributes: Iterable[Attribute], columns: Mapping[str, Sequence[object]]
+) -> Dict[str, Column]:
+    """Pack value vectors into columns, keeping every value's exact type.
+
+    A numeric attribute whose values are all plain floats becomes a
+    contiguous ``float64`` array; every other attribute becomes an
+    integer-coded column whose decode table keeps the exact values (ints
+    stay ints, bools stay bools), so the content fingerprint survives
+    :meth:`ColumnStore.save`/:meth:`ColumnStore.load`.
+    """
+    names = [attr.name for attr in attributes]
+    numeric = [
+        attr.name
+        for attr in attributes
+        if attr.atype is AttributeType.NUMERIC
+        and all(type(value) is float for value in columns[attr.name])
+    ]
+    builder = ColumnStoreBuilder([n for n in names if n not in numeric], numeric)
+    builder.append_chunk({name: columns[name] for name in names})
+    store = builder.finish()
+    return {name: store.column(name) for name in names}
+
+
+def _store(
+    schema: Schema, columns: Mapping[str, Sequence[object]], uids: Sequence[str]
+) -> ColumnStore:
+    """One :class:`ColumnStore` over ``columns``; ``w1..wn`` uids are not stored."""
+    sequential = all(uid == f"w{index}" for index, uid in enumerate(uids, start=1))
+    return ColumnStore(
+        len(uids), _pack_columns(schema, columns), uids=None if sequential else uids
+    )
+
+
+def _gather(
+    schema: Schema, uids: Sequence[str], rows: Sequence[Mapping[str, object]]
+) -> Dict[str, List[object]]:
+    """Per-attribute value vectors of ``rows``, naming the first missing value."""
+    try:
+        return {name: [row[name] for row in rows] for name in schema.names}
+    except KeyError:
+        for uid, row in zip(uids, rows):
+            for name in schema.names:
+                if name not in row:
+                    raise DataError(
+                        f"individual {uid!r} is missing attribute {name!r}"
+                    ) from None
+        raise
+
+
 class Dataset:
     """A set of individuals conforming to a :class:`Schema`.
 
-    The dataset validates every row against the schema at construction time,
-    and exposes column access, filtering, projection and group-by operations
-    used throughout the library.
-
-    Columnar contract: a dataset built with :meth:`from_store` keeps the
-    population as contiguous per-attribute arrays (see
-    :mod:`repro.data.columns`) and serves :meth:`column`,
-    :meth:`numeric_column`, :meth:`observed_matrix`, :meth:`codes`,
-    :meth:`value_counts` and :meth:`distinct_values` directly from them —
-    no :class:`Individual` is ever created unless a consumer iterates rows,
-    at which point they materialise once and are cached.  Row-primary
-    datasets behave exactly as before; :meth:`codes` gives both backings the
-    same first-seen integer coding of any attribute column.
+    Every constructor packs its input into a :class:`ColumnStore` and (unless
+    ``validate=False``) validates it against the schema; the dataset exposes
+    column access, filtering, projection and group-by operations used
+    throughout the library.  :meth:`column`, :meth:`numeric_column`,
+    :meth:`observed_matrix`, :meth:`codes`, :meth:`value_counts` and
+    :meth:`distinct_values` are served straight from the arrays — no
+    :class:`Individual` is created unless a consumer iterates rows, at which
+    point they materialise once and are cached.
     """
-
-    #: Column backing; ``None`` for row-primary datasets (set by
-    #: :meth:`from_store`).
-    _store: Optional[ColumnStore] = None
 
     def __init__(
         self,
@@ -120,11 +155,17 @@ class Dataset:
         name: str = "dataset",
         validate: bool = True,
     ) -> None:
+        rows = tuple(individuals)
+        uids = [str(individual.uid) for individual in rows]
+        columns = _gather(schema, uids, [individual.values for individual in rows])
+        self._init(schema, _store(schema, columns, uids), name, validate)
+
+    def _init(self, schema: Schema, store: ColumnStore, name: str, validate: bool) -> None:
         self.schema = schema
         self.name = name
-        self.__dict__["_rows"] = tuple(individuals)
+        self._store = store
         if validate:
-            self._validate()
+            self._validate_store()
 
     # -- construction ------------------------------------------------------
 
@@ -142,17 +183,18 @@ class Dataset:
         is removed from the attribute values; otherwise ids ``w1, w2, ...``
         are assigned in order (matching the paper's Table 1 convention).
         """
-        individuals: List[Individual] = []
-        for index, record in enumerate(records, start=1):
-            values = dict(record)
-            if uid_field is not None:
-                if uid_field not in values:
+        records = list(records)
+        if uid_field is None:
+            uids = [f"w{index}" for index in range(1, len(records) + 1)]
+        else:
+            uids = []
+            for index, record in enumerate(records, start=1):
+                if uid_field not in record:
                     raise DataError(f"record {index} is missing uid field {uid_field!r}")
-                uid = str(values.pop(uid_field))
-            else:
-                uid = f"w{index}"
-            individuals.append(Individual(uid=uid, values=values))
-        return cls(schema=schema, individuals=individuals, name=name)
+                uids.append(str(record[uid_field]))
+        return cls.from_store(
+            schema, _store(schema, _gather(schema, uids, records), uids), name=name
+        )
 
     @classmethod
     def from_columns(
@@ -161,23 +203,25 @@ class Dataset:
         columns: Mapping[str, Sequence[object]],
         name: str = "dataset",
         uids: Optional[Sequence[str]] = None,
+        validate: bool = True,
     ) -> "Dataset":
-        """Build a (row-primary) dataset from column vectors keyed by name."""
-        if not columns:
-            return cls(schema=schema, individuals=(), name=name)
+        """Build a dataset from column vectors keyed by name."""
         lengths = {len(values) for values in columns.values()}
-        if len(lengths) != 1:
+        if len(lengths) > 1:
             raise DataError(f"columns have inconsistent lengths: {sorted(lengths)}")
-        n = lengths.pop()
+        n = lengths.pop() if lengths else 0
         if uids is None:
             uids = [f"w{i}" for i in range(1, n + 1)]
         elif len(uids) != n:
             raise DataError(f"got {len(uids)} uids for {n} rows")
-        records = [
-            {attr: columns[attr][i] for attr in columns} for i in range(n)
-        ]
-        individuals = [Individual(uid=str(uid), values=rec) for uid, rec in zip(uids, records)]
-        return cls(schema=schema, individuals=individuals, name=name)
+        uids = [str(uid) for uid in uids]
+        missing = [attr_name for attr_name in schema.names if attr_name not in columns]
+        if missing and n:
+            raise DataError(f"individual {uids[0]!r} is missing attribute {missing[0]!r}")
+        columns = {attr_name: columns.get(attr_name, ()) for attr_name in schema.names}
+        return cls.from_store(
+            schema, _store(schema, columns, uids), name=name, validate=validate
+        )
 
     @classmethod
     def from_store(
@@ -187,49 +231,23 @@ class Dataset:
         name: str = "dataset",
         validate: bool = True,
     ) -> "Dataset":
-        """Build a column-primary dataset over a :class:`ColumnStore`.
+        """Build a dataset over an existing :class:`ColumnStore`.
 
         No :class:`Individual` objects are created — rows materialise lazily
-        on first iteration.  Validation is vectorised: coded columns validate
-        each *distinct* value once, numeric columns validate their declared
-        range in one array comparison, and uid uniqueness is a set check.
+        on first iteration.
         """
         dataset = cls.__new__(cls)
-        dataset.schema = schema
-        dataset.name = name
-        dataset._store = store
-        if validate:
-            dataset._validate_store()
+        dataset._init(schema, store, name, validate)
         return dataset
 
-    def _validate(self) -> None:
-        seen_uids = set()
-        for individual in self._individuals:
-            if individual.uid in seen_uids:
-                raise DataError(f"duplicate individual id {individual.uid!r}")
-            seen_uids.add(individual.uid)
-            for attr in self.schema:
-                if attr.name not in individual.values:
-                    raise DataError(
-                        f"individual {individual.uid!r} is missing attribute {attr.name!r}"
-                    )
-                value = individual.values[attr.name]
-                if not attr.validate_value(value):
-                    raise DataError(
-                        f"individual {individual.uid!r} has invalid value {value!r} "
-                        f"for attribute {attr.name!r}"
-                    )
-
     def _validate_store(self) -> None:
-        """Vectorised validation of a column-backed dataset.
+        """Validate the store against the schema without building a row.
 
-        Checks the same contract as :meth:`_validate` — unique uids, every
-        schema attribute present, every value admissible — without building a
-        single row: O(distinct values) for coded columns, one vectorised
+        Checks unique uids, every schema attribute present and every value
+        admissible: O(distinct values) for coded columns, one vectorised
         range comparison for numeric columns.
         """
         store = self._store
-        assert store is not None
         uids = store.explicit_uids
         if uids is not None and len(set(uids)) != len(uids):
             seen = set()
@@ -275,83 +293,40 @@ class Dataset:
     # -- backing -----------------------------------------------------------
 
     @property
-    def store(self) -> Optional[ColumnStore]:
-        """The column backing, or ``None`` for a row-primary dataset."""
+    def store(self) -> ColumnStore:
+        """The column backing."""
         return self._store
 
     def to_store(self) -> ColumnStore:
-        """Package this dataset's values as a :class:`ColumnStore`.
-
-        Column-backed datasets return their existing backing.  Row-primary
-        datasets are converted: a numeric attribute whose values are all
-        plain floats becomes a contiguous ``float64`` array, every other
-        attribute becomes an integer-coded column whose decode table keeps
-        the *exact* row values (ints stay ints, bools stay bools) — so a
-        dataset rebuilt from the store, e.g. after
-        :meth:`ColumnStore.save`/:meth:`ColumnStore.load`, has the same
-        content fingerprint as the original.
-        """
-        store = self._store
-        if store is not None:
-            return store
-        names = self.schema.names
-        columns = {name: self.column(name) for name in names}
-        coded: List[str] = []
-        numeric: List[str] = []
-        for attr in self.schema:
-            if attr.atype is AttributeType.NUMERIC and all(
-                type(value) is float for value in columns[attr.name]
-            ):
-                numeric.append(attr.name)
-            else:
-                coded.append(attr.name)
-        uids = self.uids
-        sequential = all(
-            uid == f"w{index + 1}" for index, uid in enumerate(uids)
-        )
-        builder = ColumnStoreBuilder(coded, numeric, collect_uids=not sequential)
-        builder.append_chunk(columns, uids=None if sequential else uids)
-        return builder.finish()
+        """The column backing (e.g. to :meth:`ColumnStore.save` it)."""
+        return self._store
 
     @property
-    def _individuals(self) -> Tuple[Individual, ...]:
-        """The row tuple, materialising it from the column store on demand."""
+    def individuals(self) -> Tuple[Individual, ...]:
+        """All rows as :class:`Individual` objects, materialised on first use."""
         rows = self.__dict__.get("_rows")
         if rows is None:
             with _codes_lock:
                 rows = self.__dict__.get("_rows")
                 if rows is None:
-                    rows = self._materialize_rows()
+                    names = self.schema.names
+                    rows = tuple(
+                        Individual(uid=uid, values=dict(zip(names, values)))
+                        for uid, values in self.iter_rows()
+                    )
                     self.__dict__["_rows"] = rows
         return rows
-
-    def _materialize_rows(self) -> Tuple[Individual, ...]:
-        store = self._store
-        assert store is not None
-        names = self.schema.names
-        decoded = {name: store.column(name).decode_range(0, store.n) for name in names}
-        uids = store.uids()
-        return tuple(
-            Individual(
-                uid=uids[index],
-                values={name: decoded[name][index] for name in names},
-            )
-            for index in range(store.n)
-        )
 
     # -- basic protocol ----------------------------------------------------
 
     def __len__(self) -> int:
-        store = self._store
-        if store is not None:
-            return store.n
-        return len(self._individuals)
+        return self._store.n
 
     def __iter__(self) -> Iterator[Individual]:
-        return iter(self._individuals)
+        return iter(self.individuals)
 
     def __getitem__(self, index: int) -> Individual:
-        return self._individuals[index]
+        return self.individuals[index]
 
     def __bool__(self) -> bool:
         return len(self) > 0
@@ -364,85 +339,58 @@ class Dataset:
         )
 
     @property
-    def individuals(self) -> Tuple[Individual, ...]:
-        """All rows as :class:`Individual` objects (materialised if needed)."""
-        return self._individuals
-
-    @property
     def uids(self) -> Tuple[str, ...]:
-        """All row ids, in row order (column-backed: no rows materialised)."""
-        store = self._store
-        if store is not None:
-            return store.uids()
-        return tuple(ind.uid for ind in self._individuals)
+        """All row ids, in row order (no rows materialised)."""
+        return self._store.uids()
 
     def by_uid(self, uid: str) -> Individual:
         """Return the individual with the given id."""
-        for individual in self._individuals:
-            if individual.uid == uid:
-                return individual
-        raise DataError(f"no individual with id {uid!r} in dataset {self.name!r}")
+        try:
+            return self.individuals[self.uids.index(uid)]
+        except ValueError:
+            raise DataError(f"no individual with id {uid!r} in dataset {self.name!r}") from None
 
     def iter_rows(self, chunk_rows: int = 65536) -> Iterator[Tuple[str, List[object]]]:
         """Yield ``(uid, [values in schema order])`` per row.
 
-        For a column-backed dataset this decodes ``chunk_rows`` rows at a
-        time and never materialises :class:`Individual` objects — it is the
-        streaming row walk content fingerprinting uses, so registering a
-        10M-row population holds one chunk of Python values at a time.
+        Decodes ``chunk_rows`` rows at a time and never materialises
+        :class:`Individual` objects — it is the streaming row walk content
+        fingerprinting uses, so registering a 10M-row population holds one
+        chunk of Python values at a time.
         """
-        store = self._store
-        names = self.schema.names
-        if store is not None and self.__dict__.get("_rows") is None:
-            yield from store.iter_rows(names, chunk_rows=chunk_rows)
-            return
-        for individual in self._individuals:
-            values = individual.values
-            yield individual.uid, [values[name] for name in names]
+        return self._store.iter_rows(self.schema.names, chunk_rows=chunk_rows)
 
     # -- column access -----------------------------------------------------
 
     def column(self, name: str) -> Tuple[object, ...]:
-        """Return the values of attribute ``name`` for all individuals, in order.
-
-        Column-backed datasets decode straight from the arrays; row-primary
-        datasets walk their rows.  Identical values either way.
-        """
+        """Return the values of attribute ``name`` for all individuals, in order."""
         self.schema.attribute(name)
-        store = self._store
-        if store is not None:
-            return tuple(store.column(name).decode_range(0, store.n))
-        return tuple(ind.values[name] for ind in self._individuals)
+        return tuple(self._store.column(name).decode_range(0, len(self)))
 
     def numeric_column(self, name: str) -> np.ndarray:
         """Return a fresh float array of an observed (numeric) attribute column.
 
-        Column-backed datasets copy the contiguous ``float64`` array (no
-        per-row ``float()`` calls); the copy keeps the classic contract that
-        callers may mutate the result without corrupting the dataset.
+        A ``float64`` column is copied (no per-row ``float()`` calls); the
+        copy keeps the contract that callers may mutate the result without
+        corrupting the dataset.
         """
         attr = self.schema.attribute(name)
         if attr.atype is not AttributeType.NUMERIC:
             raise DataError(f"attribute {name!r} is not numeric")
-        store = self._store
-        if store is not None:
-            column = store.column(name)
-            if isinstance(column, NumericColumn):
-                return np.array(column.values, dtype=float)
-            return np.asarray(
-                [float(v) for v in column.decode_range(0, store.n)], dtype=float
-            )
-        return np.asarray([float(ind.values[name]) for ind in self._individuals], dtype=float)
+        column = self._store.column(name)
+        if isinstance(column, NumericColumn):
+            return np.array(column.values, dtype=float)
+        return np.asarray([float(v) for v in column.decode_range(0, len(self))], dtype=float)
 
     def codes(self, name: str) -> Tuple[np.ndarray, Tuple[object, ...], Dict[object, int]]:
         """Integer coding of attribute ``name``: ``(codes, decode, encode)``.
 
         ``codes`` is a read-only ``int64`` array of per-row codes, ``decode``
-        maps code -> value and ``encode`` value -> code, in first-seen row
-        order.  This is the coding the score store's index-based splits
-        consume; a column-backed dataset serves it straight from its coded
-        arrays (zero per-row work), a row-primary dataset computes and caches
-        it once per attribute.
+        maps code -> value and ``encode`` value -> code.  Values equal under
+        ``==`` (``1``, ``1.0``, ``True``) share one code, whose decode value
+        is the first of them the decode table holds.  This is the coding the
+        score store's index-based splits consume; a coded column serves it
+        with zero per-row work, a numeric column computes and caches it once.
         """
         cache: Dict[str, Tuple[np.ndarray, Tuple[object, ...], Dict[object, int]]]
         cache = self.__dict__.setdefault("_codes_cache", {})
@@ -450,28 +398,13 @@ class Dataset:
         if cached is not None:
             return cached
         self.schema.attribute(name)
-        store = self._store
-        if store is not None:
-            result = self._codes_from_store(store, name)
-        else:
-            rows = self._individuals
-            encode: Dict[object, int] = {}
-            codes = np.empty(len(rows), dtype=np.int64)
-            encode_get = encode.get
-            for position, individual in enumerate(rows):
-                value = individual.values[name]
-                code = encode_get(value)
-                if code is None:
-                    code = len(encode)
-                    encode[value] = code
-                codes[position] = code
-            codes.setflags(write=False)
-            result = (codes, tuple(encode), encode)
+        result = self._codes_from_store(self._store, name)
         with _codes_lock:
             return cache.setdefault(name, result)
 
+    @staticmethod
     def _codes_from_store(
-        self, store: ColumnStore, name: str
+        store: ColumnStore, name: str
     ) -> Tuple[np.ndarray, Tuple[object, ...], Dict[object, int]]:
         column = store.column(name)
         if isinstance(column, CodedColumn):
@@ -482,7 +415,7 @@ class Dataset:
             if len(encode) == len(decode):
                 return (column.codes, decode, encode)
             # The decode table distinguishes equal-under-`==` values (1 vs
-            # 1.0); splits must not, to match the row-primary coding exactly.
+            # 1.0); splits and counts must not.
             collapsed: Dict[object, int] = {}
             for value in decode:
                 collapsed.setdefault(value, len(collapsed))
@@ -507,46 +440,24 @@ class Dataset:
     def value_counts(self, name: str) -> Dict[object, int]:
         """Return a value -> count mapping for attribute ``name``.
 
-        Keys are emitted in first-seen row order (for a coded column, the
-        decode-table order — identical by construction).
+        Counts are taken over :meth:`codes`, so values equal under ``==``
+        count as one key; keys follow the decode order (first-seen row order
+        for a store a builder packed).
         """
-        store = self._store
-        if store is not None:
-            column = store.column(name)
-            if isinstance(column, CodedColumn):
-                self.schema.attribute(name)
-                counts = np.bincount(column.codes, minlength=len(column.values))
-                return {
-                    value: int(counts[code])
-                    for code, value in enumerate(column.values)
-                    if counts[code]
-                }
-        counts_dict: Dict[object, int] = {}
-        for value in self.column(name):
-            counts_dict[value] = counts_dict.get(value, 0) + 1
-        return counts_dict
+        codes, decode, _ = self.codes(name)
+        counts = np.bincount(codes, minlength=len(decode))
+        return {value: int(counts[code]) for code, value in enumerate(decode) if counts[code]}
 
     def distinct_values(self, name: str) -> Tuple[object, ...]:
         """Distinct values of attribute ``name``.
 
         Uses the declared domain order when available; otherwise values are
         returned in a stable sorted order (by string representation for mixed
-        types) so downstream algorithms are deterministic.  Column-backed
-        datasets order the decode table instead of walking rows.
+        types) so downstream algorithms are deterministic.
         """
         attr = self.schema.attribute(name)
-        store = self._store
-        if store is not None:
-            column = store.column(name)
-            if isinstance(column, CodedColumn):
-                present_codes = set(np.unique(column.codes).tolist())
-                present = {
-                    value
-                    for code, value in enumerate(column.values)
-                    if code in present_codes
-                }
-                return order_values(attr, present)
-        return order_values(attr, self.column(name))
+        codes, decode, _ = self.codes(name)
+        return order_values(attr, (decode[code] for code in np.unique(codes).tolist()))
 
     # -- relational-ish operations ------------------------------------------
 
@@ -554,13 +465,8 @@ class Dataset:
         self, predicate: Callable[[Individual], bool], name: Optional[str] = None
     ) -> "Dataset":
         """Return a new dataset with only the individuals matching ``predicate``."""
-        kept = tuple(ind for ind in self._individuals if predicate(ind))
-        return Dataset(
-            schema=self.schema,
-            individuals=kept,
-            name=name or f"{self.name}/filtered",
-            validate=False,
-        )
+        kept = [position for position, ind in enumerate(self.individuals) if predicate(ind)]
+        return self.subset(kept, name=name or f"{self.name}/filtered")
 
     def positions(self, uids: Iterable[str]) -> List[int]:
         """Sorted row positions of the given individual ids."""
@@ -576,19 +482,41 @@ class Dataset:
         return self.subset(self.positions(uids))
 
     def subset(self, positions: Iterable[int], name: Optional[str] = None) -> "Dataset":
-        """Return a new dataset of the rows at ``positions``, in that order."""
-        rows = self._individuals
-        kept = tuple(rows[position] for position in np.asarray(positions).tolist())
-        return Dataset(self.schema, kept, name=name or f"{self.name}/subset", validate=False)
+        """Return a new dataset of the rows at ``positions``, in that order.
+
+        Coded columns are re-coded to the first-seen order of the kept rows,
+        so the subset's :meth:`codes`, :meth:`value_counts` and group orders
+        are those of the same rows packed afresh.
+        """
+        store = self._store
+        positions = np.asarray(positions, dtype=np.intp)
+        columns = {column_name: store.column(column_name).take(positions)
+                   for column_name in store.names}
+        if store.explicit_uids is None and np.array_equal(
+            positions, np.arange(len(positions))
+        ):
+            uids: Optional[List[str]] = None
+        else:
+            all_uids = store.uids()
+            uids = [all_uids[position] for position in positions.tolist()]
+        return Dataset.from_store(
+            self.schema,
+            ColumnStore(len(positions), columns, uids=uids),
+            name=name or f"{self.name}/subset",
+            validate=False,
+        )
 
     def project(self, names: Sequence[str]) -> "Dataset":
         """Return a dataset with only the attributes in ``names``."""
         sub_schema = self.schema.project(names)
-        individuals = tuple(
-            Individual(uid=ind.uid, values={n: ind.values[n] for n in sub_schema.names})
-            for ind in self._individuals
+        store = self._store
+        columns = {name: store.column(name) for name in sub_schema.names}
+        return Dataset.from_store(
+            sub_schema,
+            ColumnStore(len(self), columns, uids=store.explicit_uids),
+            name=f"{self.name}/projected",
+            validate=False,
         )
-        return Dataset(sub_schema, individuals, name=f"{self.name}/projected", validate=False)
 
     def map_column(
         self,
@@ -613,14 +541,21 @@ class Dataset:
             description=attr.description,
         )
         new_schema = self.schema.replace_attribute(new_attr)
-        individuals = tuple(
-            ind.with_values(**{name: mapper(ind.values[name])}) for ind in self._individuals
+        store = self._store
+        columns = {column_name: store.column(column_name) for column_name in store.names}
+        columns.update(
+            _pack_columns((new_attr,), {name: [mapper(value) for value in self.column(name)]})
         )
-        return Dataset(new_schema, individuals, name=self.name, validate=False)
+        return Dataset.from_store(
+            new_schema,
+            ColumnStore(len(self), columns, uids=store.explicit_uids),
+            name=self.name,
+            validate=False,
+        )
 
     def with_schema(self, schema: Schema) -> "Dataset":
         """Return this data re-validated under a (compatible) new schema."""
-        return Dataset(schema, self._individuals, name=self.name)
+        return Dataset.from_store(schema, self._store, name=self.name)
 
     def group_by(self, names: Sequence[str]) -> Dict[Tuple[object, ...], "Dataset"]:
         """Group individuals by the combination of values of ``names``.
@@ -629,24 +564,37 @@ class Dataset:
         individuals having those values, preserving input order inside each
         group.  Group keys are emitted in first-seen order.
         """
-        for name in names:
-            self.schema.attribute(name)
-        groups: Dict[Tuple[object, ...], List[Individual]] = {}
-        for individual in self._individuals:
-            key = tuple(individual.values[name] for name in names)
-            groups.setdefault(key, []).append(individual)
-        return {
-            key: Dataset(self.schema, tuple(members), name=f"{self.name}/{key}", validate=False)
-            for key, members in groups.items()
-        }
+        codings = [self.codes(name) for name in names]
+        if not len(self):
+            return {}
+        if not codings:
+            return {(): self.subset(np.arange(len(self)), name=f"{self.name}/()")}
+        stacked = np.column_stack([codes for codes, _, _ in codings])
+        _, first, inverse = np.unique(
+            stacked, axis=0, return_index=True, return_inverse=True
+        )
+        inverse = inverse.reshape(-1)
+        order = np.argsort(inverse, kind="stable")
+        bounds = np.cumsum(np.bincount(inverse))[:-1]
+        members = np.split(order, bounds)
+        groups: Dict[Tuple[object, ...], "Dataset"] = {}
+        for group in np.argsort(first, kind="stable").tolist():
+            row = int(first[group])
+            key = tuple(decode[codes[row]] for codes, decode, _ in codings)
+            groups[key] = self.subset(members[group], name=f"{self.name}/{key}")
+        return groups
 
     def concat(self, other: "Dataset", name: Optional[str] = None) -> "Dataset":
         """Concatenate two datasets over the same schema."""
         if set(other.schema.names) != set(self.schema.names):
             raise DataError("cannot concatenate datasets with different schemas")
-        return Dataset(
+        columns = {
+            attr_name: self.column(attr_name) + other.column(attr_name)
+            for attr_name in self.schema.names
+        }
+        return Dataset.from_store(
             self.schema,
-            self._individuals + tuple(other),
+            _store(self.schema, columns, self.uids + other.uids),
             name=name or f"{self.name}+{other.name}",
         )
 
@@ -660,12 +608,11 @@ class Dataset:
 
     def to_records(self, include_uid: bool = True) -> List[Dict[str, object]]:
         """Return the dataset as a list of plain dicts (for CSV/JSON export)."""
+        names = self.schema.names
         records = []
-        for individual in self._individuals:
-            record: Dict[str, object] = {}
-            if include_uid:
-                record["uid"] = individual.uid
-            record.update({name: individual.values[name] for name in self.schema.names})
+        for uid, values in self.iter_rows():
+            record: Dict[str, object] = {"uid": uid} if include_uid else {}
+            record.update(zip(names, values))
             records.append(record)
         return records
 
@@ -673,16 +620,14 @@ class Dataset:
         """Return an (n, m) float matrix of observed attribute columns.
 
         ``names`` defaults to every observed attribute in schema order.  This
-        is the matrix a linear scoring function multiplies by its weights;
-        for a column-backed dataset it is stacked straight from the
-        contiguous ``float64`` arrays.
+        is the matrix a linear scoring function multiplies by its weights,
+        stacked straight from the contiguous ``float64`` arrays.
         """
         if names is None:
             names = self.schema.observed_names
         if not names:
             return np.zeros((len(self), 0), dtype=float)
-        columns = [self.numeric_column(name) for name in names]
-        return np.column_stack(columns) if columns else np.zeros((len(self), 0))
+        return np.column_stack([self.numeric_column(name) for name in names])
 
     def summary(self) -> Dict[str, object]:
         """Return a summary dict used by the session layer's General box."""

@@ -35,16 +35,9 @@ def table1_workload() -> Tuple[Dataset, LinearScoringFunction]:
     return dataset, function
 
 
-def synthetic_population(size: int = 400, seed: int = 7, columnar: bool = False) -> Dataset:
-    """An unbiased synthetic crowdsourcing population.
-
-    ``columnar=True`` packages the population as a column-backed dataset
-    (same values and content fingerprint, contiguous arrays instead of
-    per-row dicts — the only sane choice beyond ~100k rows).
-    """
-    return CrowdsourcingGenerator(seed=seed).generate(
-        size, name=f"synthetic-{size}", columnar=columnar
-    )
+def synthetic_population(size: int = 400, seed: int = 7) -> Dataset:
+    """An unbiased synthetic crowdsourcing population."""
+    return CrowdsourcingGenerator(seed=seed).generate(size, name=f"synthetic-{size}")
 
 
 def biased_population(

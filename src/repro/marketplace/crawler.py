@@ -18,12 +18,14 @@ attribute schemas across platforms, per-job scoring functions, and realistic
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from repro.data.dataset import Dataset, Individual
+from repro.data.columns import CodedColumn, Column, ColumnStore, NumericColumn
+from repro.data.dataset import Dataset
 from repro.data.schema import Schema, observed, protected
 from repro.errors import MarketplaceError
 from repro.marketplace.bias import BiasSpec, apply_bias
@@ -238,28 +240,25 @@ class MarketplaceCrawler:
         return [self.crawl(platform, workers=workers) for platform in available_platforms()]
 
     def _generate_workers(self, profile: PlatformProfile, size: int) -> Dataset:
-        rng = np.random.default_rng(self.seed + hash(profile.name) % 10_000)
+        # crc32, not hash(): str hashes are salted per process.
+        rng = np.random.default_rng(self.seed + zlib.crc32(profile.name.encode()) % 10_000)
         schema = profile.schema()
 
-        columns: Dict[str, np.ndarray] = {}
-        for attribute, distribution in profile.demographics.items():
+        columns: Dict[str, Column] = {}
+        categorical = {
+            **profile.demographics,
+            "Age Band": {"18-29": 0.35, "30-44": 0.35, "45-59": 0.22, "60+": 0.08},
+        }
+        for attribute, distribution in categorical.items():
             values = list(distribution)
             probabilities = np.asarray([distribution[v] for v in values], dtype=float)
             probabilities = probabilities / probabilities.sum()
-            columns[attribute] = rng.choice(values, size=size, p=probabilities)
-        columns["Age Band"] = rng.choice(
-            ["18-29", "30-44", "45-59", "60+"], size=size, p=[0.35, 0.35, 0.22, 0.08]
-        )
+            codes = rng.choice(len(values), size=size, p=probabilities)
+            columns[attribute] = CodedColumn(codes, values).take()
         for skill, (alpha, beta) in profile.skills.items():
-            columns[skill] = np.round(rng.beta(alpha, beta, size=size), 4)
-
-        individuals = []
-        for index in range(size):
-            values: Dict[str, object] = {}
-            for attribute in schema.names:
-                raw = columns[attribute][index]
-                values[attribute] = (
-                    float(raw) if schema.attribute(attribute).is_observed else str(raw)
-                )
-            individuals.append(Individual(uid=f"{profile.name}-w{index + 1}", values=values))
-        return Dataset(schema, individuals, name=f"{profile.name}-crawl", validate=False)
+            columns[skill] = NumericColumn(np.round(rng.beta(alpha, beta, size=size), 4))
+        uids = [f"{profile.name}-w{index}" for index in range(1, size + 1)]
+        return Dataset.from_store(
+            schema, ColumnStore(size, columns, uids=uids), name=f"{profile.name}-crawl",
+            validate=False,
+        )

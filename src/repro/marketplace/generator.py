@@ -17,7 +17,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.dataset import Dataset, Individual
+from repro.data.columns import CodedColumn, Column, ColumnStore, NumericColumn
+from repro.data.dataset import Dataset
 from repro.data.schema import Attribute, AttributeType, Schema, observed, protected
 from repro.errors import MarketplaceError
 from repro.marketplace.bias import BiasSpec, apply_bias
@@ -108,92 +109,47 @@ class CrowdsourcingGenerator:
         size: int,
         biases: Sequence[BiasSpec] = (),
         name: str = "synthetic-crowdsourcing",
-        columnar: bool = False,
     ) -> Dataset:
         """Generate ``size`` workers, optionally with planted biases applied.
 
-        With ``columnar=True`` the population is packaged as a column-backed
-        dataset (:meth:`~repro.data.dataset.Dataset.from_store`) instead of
-        per-row :class:`Individual` dicts — same RNG draws, same values, same
-        content fingerprint, but a million-row population costs a handful of
-        contiguous arrays.  Planted biases rewrite rows, so a biased
-        population always materialises rows (``columnar`` is ignored).
+        The draws are packaged as columns: protected attributes as coded
+        columns in first-seen row order, skills as ``float64`` arrays.
         """
         if size < 1:
             raise MarketplaceError(f"population size must be >= 1, got {size}")
         rng = np.random.default_rng(self.seed)
         schema = self.spec.schema()
 
-        protected_columns: Dict[str, np.ndarray] = {}
+        columns: Dict[str, Column] = {}
         for attribute, distribution in self.spec.protected_distributions.items():
             values = list(distribution)
             probabilities = np.asarray([distribution[v] for v in values], dtype=float)
             probabilities = probabilities / probabilities.sum()
-            protected_columns[attribute] = rng.choice(values, size=size, p=probabilities)
+            # Drawing indices consumes the generator exactly as drawing values.
+            codes = rng.choice(len(values), size=size, p=probabilities)
+            columns[attribute] = CodedColumn(codes, values).take()
 
         low_year, high_year = self.spec.birth_year_range
         birth_years = rng.integers(low_year, high_year + 1, size=size)
         low_exp, high_exp = self.spec.experience_range
         experience = rng.integers(low_exp, high_exp + 1, size=size)
+        for attribute, ints in (("Year of Birth", birth_years), ("Experience", experience)):
+            uniques, inverse = np.unique(ints, return_inverse=True)
+            columns[attribute] = CodedColumn(inverse, [int(v) for v in uniques]).take()
 
-        skill_columns: Dict[str, np.ndarray] = {}
         for skill in self.spec.skills:
             alpha, beta = self.spec.skill_parameters.get(skill, (2.0, 2.0))
             base = rng.beta(alpha, beta, size=size)
             # Mild experience effect: more experienced workers tend to score a
             # little higher, mimicking reputation accumulation on platforms.
             experience_effect = 0.1 * (experience - low_exp) / max(high_exp - low_exp, 1)
-            skill_columns[skill] = np.clip(base + experience_effect, 0.0, 1.0)
+            column = np.clip(base + experience_effect, 0.0, 1.0)
+            # Python round() is decimal-correct where np.round is not.
+            columns[skill] = NumericColumn(
+                np.asarray([round(value, 4) for value in column.tolist()], dtype=np.float64)
+            )
 
-        # Per-row rounding shared by both packagings: Python round() is
-        # decimal-correct where np.round is not, so the columnar path must
-        # use the same scalar rounding to stay byte-identical.
-        rounded_skills = {
-            skill: [float(round(value, 4)) for value in column.tolist()]
-            for skill, column in skill_columns.items()
-        }
-
-        if columnar and not biases:
-            from repro.data.columns import CodedColumn, ColumnStore, NumericColumn
-
-            columns: Dict[str, object] = {}
-            for attribute, column in protected_columns.items():
-                values = list(self.spec.protected_distributions[attribute])
-                lookup = {value: code for code, value in enumerate(values)}
-                codes = np.fromiter(
-                    (lookup[value] for value in column.tolist()),
-                    dtype=np.int64,
-                    count=size,
-                )
-                columns[attribute] = CodedColumn(codes, values)
-            for attribute, ints in (
-                ("Year of Birth", birth_years),
-                ("Experience", experience),
-            ):
-                uniques, inverse = np.unique(ints, return_inverse=True)
-                columns[attribute] = CodedColumn(
-                    inverse.astype(np.int64), [int(v) for v in uniques]
-                )
-            for skill in self.spec.skills:
-                columns[skill] = NumericColumn(
-                    np.asarray(rounded_skills[skill], dtype=np.float64)
-                )
-            store = ColumnStore(size, columns)  # sequential w1..wn uids
-            return Dataset.from_store(schema, store, name=name, validate=False)
-
-        individuals = []
-        for index in range(size):
-            values: Dict[str, object] = {
-                attribute: column[index].item() if hasattr(column[index], "item") else column[index]
-                for attribute, column in protected_columns.items()
-            }
-            values["Year of Birth"] = int(birth_years[index])
-            values["Experience"] = int(experience[index])
-            for skill in self.spec.skills:
-                values[skill] = rounded_skills[skill][index]
-            individuals.append(Individual(uid=f"w{index + 1}", values=values))
-
-        dataset = Dataset(schema, individuals, name=name, validate=False)
+        dataset = Dataset.from_store(schema, ColumnStore(size, columns), name=name, validate=False)
         if biases:
             dataset = apply_bias(dataset, biases)
         return dataset

@@ -100,29 +100,25 @@ def _schema_from_json(entries):
 
 def _dataset_to_json(dataset) -> Dict[str, object]:
     schema = _schema_to_json(dataset.schema)
+    names = dataset.schema.names
     individuals = [
-        {
-            "uid": individual.uid,
-            "values": {name: individual.values[name] for name in dataset.schema.names},
-        }
-        for individual in dataset
+        {"uid": uid, "values": dict(zip(names, values))}
+        for uid, values in dataset.iter_rows()
     ]
     return {"name": dataset.name, "schema": schema, "individuals": individuals}
 
 
 def _dataset_from_json(payload: Mapping[str, object]):
-    from repro.data.dataset import Dataset, Individual
+    from repro.data.dataset import Dataset
 
     schema = _schema_from_json(payload["schema"])  # type: ignore[arg-type]
-    individuals = tuple(
-        Individual(uid=str(row["uid"]), values=dict(row["values"]))
-        for row in payload["individuals"]  # type: ignore[union-attr]
-    )
-    return Dataset(
-        schema=schema,
-        individuals=individuals,
+    rows = payload["individuals"]
+    return Dataset.from_columns(
+        schema,
+        {name: [row["values"][name] for row in rows] for name in schema.names},  # type: ignore
         name=str(payload.get("name", "dataset")),
-        validate=False,
+        uids=[str(row["uid"]) for row in rows],  # type: ignore[union-attr]
+        validate=False,  # a drifted value must surface as a fingerprint mismatch
     )
 
 
@@ -178,10 +174,11 @@ def _load_dataset_source(source: Mapping[str, object], base_dir: Optional[Path] 
     if loader == "synthetic":
         from repro.experiments.workloads import synthetic_population
 
+        # A "columnar" field (written by older snapshots) is ignored: every
+        # population is column-backed.
         return synthetic_population(
             size=int(source.get("size", 400)),  # type: ignore[arg-type]
             seed=int(source.get("seed", 7)),  # type: ignore[arg-type]
-            columnar=bool(source.get("columnar", False)),
         )
     raise CatalogError(
         f"unknown dataset loader {loader!r} in catalog snapshot; "

@@ -29,7 +29,9 @@ from repro.analysis.selftest import SELFTEST_CASES
 #: standalone directive line above the finding (format-floor rules get
 #: explicit suppression tests below; FL000 is unsuppressible, FL900 has
 #: no line to annotate).
-_SUPPRESSIBLE = ("FL001", "FL002", "FL003", "FL004", "FL005", "FL006", "FL007")
+_SUPPRESSIBLE = (
+    "FL001", "FL002", "FL003", "FL004", "FL005", "FL006", "FL007", "FL008",
+)
 
 
 def analyse(root: Path, relpath: str, source, **extra_files):
@@ -337,6 +339,40 @@ class TestSwallowedException:
             "        pass\n"
         ))
         assert len(fired(report, "FL007")) == 1
+
+
+class TestSaltedHash:
+    def test_dunder_hash_may_call_hash(self, tmp_path):
+        report = analyse(tmp_path, "repro/data/key.py", (
+            "class Key:\n"
+            "    def __init__(self, parts):\n"
+            "        self.parts = parts\n\n"
+            "    def __hash__(self):\n"
+            "        return hash((type(self).__name__, self.parts))\n"
+        ))
+        assert not fired(report, "FL008")
+
+    def test_stable_digests_and_attribute_calls_are_fine(self, tmp_path):
+        report = analyse(tmp_path, "repro/seeding.py", (
+            "import zlib\n\n\n"
+            "def seed_for(name, seed, digest):\n"
+            "    return seed + zlib.crc32(name.encode()) + digest.hash(name)\n"
+        ))
+        assert not fired(report, "FL008")
+
+    def test_function_nested_in_dunder_hash_is_not_exempt(self, tmp_path):
+        report = analyse(tmp_path, "repro/data/key.py", (
+            "class Key:\n"
+            "    def __hash__(self):\n"
+            "        def seed(name):\n"
+            "            return hash(name)\n"
+            "        return seed('k')\n"
+        ))
+        assert [finding.line for finding in fired(report, "FL008")] == [4]
+
+    def test_code_outside_repro_is_not_checked(self, tmp_path):
+        report = analyse(tmp_path, "scripts/tool.py", "value = hash('x')\n")
+        assert not fired(report, "FL008")
 
 
 class TestFormatFloor:

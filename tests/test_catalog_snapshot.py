@@ -206,6 +206,21 @@ class TestDatasetSources:
         with pytest.raises(CatalogError, match="drifted"):
             Catalog.load(path)
 
+    def test_synthetic_source_ignores_a_legacy_columnar_field(self, tmp_path):
+        from repro.experiments.workloads import synthetic_population
+
+        catalog = Catalog()
+        catalog.register(synthetic_population(300, seed=4), name="pop")
+        path = tmp_path / "snap.json"
+        catalog.save(
+            path,
+            dataset_sources={
+                "pop": {"loader": "synthetic", "size": 300, "seed": 4, "columnar": True}
+            },
+        )
+        reloaded = Catalog.load(path).resolve(ResourceKind.DATASET, "pop")
+        assert reloaded.to_records() == synthetic_population(300, seed=4).to_records()
+
     def test_unknown_loader_is_rejected(self, tmp_path):
         path = tmp_path / "snap.json"
         path.write_text(
@@ -234,6 +249,37 @@ class TestDatasetSources:
                 tmp_path / "snap.json",
                 dataset_sources={"nope": {"loader": "example_table1"}},
             )
+
+
+class TestServingPathBuildsNoRows:
+    def test_inline_population_serves_without_individual_rows(self, tmp_path, monkeypatch):
+        from repro.data.dataset import Individual
+        from repro.experiments.workloads import synthetic_population
+        from repro.service import BreakdownRequest, CompareRequest, SweepRequest
+
+        service = FairnessService()
+        service.register_dataset(synthetic_population(2000, seed=1), name="pop")
+        service.register_function(LinearScoringFunction(TABLE1_WEIGHTS, name="f"))
+        service.register_function(
+            LinearScoringFunction({"Language Test": 0.2, "Rating": 0.8}, name="g")
+        )
+        path = tmp_path / "inline.json"
+        service.catalog.save(path)
+
+        def no_rows(self, *args, **kwargs):
+            raise AssertionError("an Individual row was built on the serving path")
+
+        monkeypatch.setattr(Individual, "__init__", no_rows)
+        loaded = FairnessService(catalog=Catalog.load(path))
+        requests = [
+            QuantifyRequest(dataset="pop", function="f", min_partition_size=50),
+            BreakdownRequest(dataset="pop", function="f"),
+            CompareRequest(dataset="pop", functions=("f", "g"), min_partition_size=50),
+            SweepRequest(dataset="pop", function="f", steps=3, min_partition_size=50),
+        ]
+        for request in requests:
+            result = loaded.execute(request)
+            assert result.ok, result.error
 
 
 class TestFailureModes:

@@ -212,3 +212,61 @@ class TestOperations:
         assert summary["size"] == 5
         assert summary["protected_attributes"] == ["Gender", "City"]
         assert summary["protected_cardinalities"]["City"] == 3
+
+
+class TestOneBacking:
+    """Every constructor packs a ColumnStore; rows are a lazy view of it."""
+
+    def test_every_constructor_is_column_backed(self, schema, records, dataset):
+        from repro.data.columns import ColumnStore
+
+        rows = [Individual(f"w{i}", record) for i, record in enumerate(records, 1)]
+        built = [
+            dataset,
+            Dataset(schema, rows),
+            Dataset.from_columns(schema, {n: dataset.column(n) for n in schema.names}),
+            dataset.subset([4, 0]),
+            dataset.project(["Rating"]),
+        ]
+        for ds in built:
+            assert isinstance(ds.store, ColumnStore)
+            assert ds.to_store() is ds.store
+            assert "_rows" not in ds.__dict__
+
+    def test_values_outside_the_schema_are_not_kept(self, schema):
+        row = Individual("w1", {"Gender": "F", "City": "NY", "Rating": 0.5, "Extra": 1})
+        ds = Dataset(schema, [row])
+        assert set(ds[0].values) == {"Gender", "City", "Rating"}
+        assert ds.to_records() == [{"uid": "w1", "Gender": "F", "City": "NY", "Rating": 0.5}]
+
+    def test_value_counts_collapses_values_equal_under_eq(self):
+        schema = Schema((protected("G"), observed("R")))
+        rows = [Individual(f"w{i}", {"G": g, "R": 0.5}) for i, g in enumerate((1, True, 1.0), 1)]
+        built = Dataset(schema, rows)
+        twin = Dataset.from_store(schema, built.to_store())
+        for ds in (built, twin):
+            counts = ds.value_counts("G")
+            assert counts == {1: 3}
+            assert [type(key) for key in counts] == [int]
+        # The decode table still keeps every exact value.
+        assert [type(v) for v in twin.column("G")] == [int, bool, float]
+
+    def test_subset_recodes_to_first_seen_order(self, dataset):
+        sub = dataset.subset([3, 1, 2])
+        codes, decode, _ = sub.codes("City")
+        assert decode == ("LA", "NY", "SF")
+        assert codes.tolist() == [0, 1, 2]
+        assert sub.uids == ("w4", "w2", "w3")
+        assert list(sub.value_counts("Gender")) == ["M", "F"]
+        fresh = Dataset(dataset.schema, [dataset[3], dataset[1], dataset[2]])
+        assert sub.to_records() == fresh.to_records()
+
+    def test_group_by_keys_and_members_follow_row_order(self, dataset):
+        groups = dataset.group_by(["City", "Gender"])
+        assert list(groups) == [
+            ("NY", "F"), ("NY", "M"), ("SF", "F"), ("LA", "M"), ("LA", "F"),
+        ]
+        assert dataset.group_by([])[()].uids == dataset.uids
+        by_gender = dataset.group_by(["Gender"])
+        assert by_gender[("F",)].uids == ("w1", "w3", "w5")
+        assert by_gender[("F",)].name == "toy/('F',)"

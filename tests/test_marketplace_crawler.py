@@ -71,3 +71,27 @@ class TestCrawler:
         marketplaces = MarketplaceCrawler(seed=2).crawl_all(workers=40)
         assert {m.name for m in marketplaces} == set(available_platforms())
         assert all(len(m.workers) == 40 for m in marketplaces)
+
+
+def test_crawl_is_deterministic_across_processes():
+    """Seeding must not depend on the per-process salt of str hashes."""
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "from repro.marketplace.crawler import MarketplaceCrawler\n"
+        "from repro.service.fingerprint import fingerprint_dataset\n"
+        "m = MarketplaceCrawler(seed=11).crawl('taskrabbit-sim', workers=50)\n"
+        "print(fingerprint_dataset(m.workers))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    fingerprints = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.path.abspath(src))
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        fingerprints.add(completed.stdout.strip())
+    assert len(fingerprints) == 1
